@@ -18,8 +18,10 @@ from .datagen import (
     toy_support,
 )
 from .errors import (
+    DatasetError,
     InstructionParseError,
     SceneDiffError,
+    SupportError,
     UnsatisfiableInstructionError,
     VocabularyError,
 )

@@ -4,7 +4,9 @@ Sampling commands resolve their seed from --seed, then the SCENEDIFF_SEED
 environment variable, then 0, and write deterministic JSON, so a repeated
 invocation with the same arguments produces byte-identical files. Exit codes:
 0 on success, 2 on bad arguments or unparsable instructions (click's usage
-failure), 3 when an instruction is well formed but unsatisfiable.
+failure), 3 when an instruction is well formed but unsatisfiable, 4 on any
+other SceneDiffError (a sampler state outside the dataset's support, a
+dataset that could not be built), reported as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -19,7 +21,12 @@ import numpy as np
 
 from .datagen import generate_dataset, toy_support
 from .config import SceneConfig
-from .errors import InstructionParseError, UnsatisfiableInstructionError, VocabularyError
+from .errors import (
+    InstructionParseError,
+    SceneDiffError,
+    UnsatisfiableInstructionError,
+    VocabularyError,
+)
 from .evaluation import evaluate_scenes
 from .graph_diffusion import KERNELS, KERNEL_INDEPENDENT, GuidanceConfig, schedule_to_json
 from .instructions import parse_instruction
@@ -58,40 +65,55 @@ def _guarded(fn):
             sys.exit(3)
         except (InstructionParseError, VocabularyError) as exc:
             raise click.UsageError(str(exc))
+        except SceneDiffError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(4)
 
     return wrapper
 
 
-def _sampling_options(fn):
-    for opt in reversed((
-        click.option("--graph-steps", type=int, default=100, show_default=True,
-                     help="Diffusion steps for the graph stage."),
-        click.option("--layout-steps", type=int, default=100, show_default=True,
-                     help="Diffusion steps for the layout stage."),
-        click.option("--kernel", type=click.Choice(KERNELS), default=KERNEL_INDEPENDENT,
-                     show_default=True, help="Forward corruption kernel."),
-        click.option("--leak", type=float, default=0.01, show_default=True,
-                     help="Uniform label leak of the masking kernels."),
-        click.option("--guidance-scale", type=float, default=0.0, show_default=True,
-                     help="Classifier-free guidance strength."),
-        click.option("--seed", type=int, default=None,
-                     help=f"RNG seed; falls back to ${ENV_SEED}, then 0."),
-    )):
-        fn = opt(fn)
-    return fn
+def _options(*options):
+    def decorate(fn):
+        for opt in reversed(options):
+            fn = opt(fn)
+        return fn
+
+    return decorate
 
 
-def _pipeline(bundle_dir: str, graph_steps: int, layout_steps: int, kernel: str,
-              leak: float, guidance_scale: float) -> ScenePipeline:
-    bundle = load_bundle(Path(bundle_dir))
-    gen = GenerationConfig(
-        graph_steps=graph_steps,
-        layout_steps=layout_steps,
-        kernel=kernel,
-        leak=leak,
-        guidance=GuidanceConfig(scale=guidance_scale),
-    )
-    return ScenePipeline(bundle, gen)
+_sampling_options = _options(
+    click.option("--bundle", "bundle_dir", required=True, type=click.Path(exists=True)),
+    click.option("--out", required=True, type=click.Path()),
+    click.option("--graph-steps", type=int, default=100, show_default=True,
+                 help="Diffusion steps for the graph stage."),
+    click.option("--layout-steps", type=int, default=100, show_default=True,
+                 help="Diffusion steps for the layout stage."),
+    click.option("--kernel", type=click.Choice(KERNELS), default=KERNEL_INDEPENDENT,
+                 show_default=True, help="Forward corruption kernel."),
+    click.option("--leak", type=float, default=0.01, show_default=True,
+                 help="Uniform label leak of the masking kernels."),
+    click.option("--guidance-scale", type=float, default=0.0, show_default=True,
+                 help="Classifier-free guidance strength."),
+    click.option("--seed", type=int, default=None,
+                 help=f"RNG seed; falls back to ${ENV_SEED}, then 0."),
+)
+_edit_options = _options(
+    click.option("--scenes", "scenes_path", required=True, type=click.Path(exists=True)),
+    click.option("--index", type=int, default=0, show_default=True),
+)
+
+
+def _sample(draw, *, bundle_dir, out, graph_steps, layout_steps, kernel, leak,
+            guidance_scale, seed, what=None, **meta):
+    """Build the pipeline, ``draw(pipe, rng)`` the scenes, and save them with
+    the seed and ``meta``; ``what`` names the output on stdout."""
+    seed = _resolve_seed(seed)
+    gen = GenerationConfig(graph_steps=graph_steps, layout_steps=layout_steps, kernel=kernel,
+                           leak=leak, guidance=GuidanceConfig(scale=guidance_scale))
+    pipe = ScenePipeline(load_bundle(Path(bundle_dir)), gen)
+    scenes = draw(pipe, np.random.default_rng(seed))
+    save_scenes(scenes, out, meta={"seed": seed, **meta})
+    click.echo(f"wrote {what or f'{len(scenes)} scenes'} to {out}")
 
 
 def _pick_scene(path: str, index: int):
@@ -134,98 +156,58 @@ def make_dataset(out, family, n_scenes, seed):
 
 
 @main.command()
-@click.option("--bundle", "bundle_dir", required=True, type=click.Path(exists=True))
 @click.option("--instruction", default=None, help="Instruction text; omit for unconditional.")
 @click.option("--n", type=int, default=1, show_default=True)
-@click.option("--out", required=True, type=click.Path())
 @_sampling_options
 @_guarded
-def generate(bundle_dir, instruction, n, out, graph_steps, layout_steps, kernel,
-             leak, guidance_scale, seed):
+def generate(instruction, n, **opts):
     """Sample scenes, optionally conditioned on an instruction."""
-    seed = _resolve_seed(seed)
-    pipe = _pipeline(bundle_dir, graph_steps, layout_steps, kernel, leak, guidance_scale)
-    rng = np.random.default_rng(seed)
-    scenes = pipe.generate(instruction, rng=rng, n=n)
-    save_scenes(scenes, out, meta={"seed": seed, "instruction": instruction})
-    click.echo(f"wrote {len(scenes)} scenes to {out}")
+    _sample(lambda pipe, rng: pipe.generate(instruction, rng=rng, n=n),
+            instruction=instruction, **opts)
 
 
 @main.command()
-@click.option("--bundle", "bundle_dir", required=True, type=click.Path(exists=True))
 @click.option("--n", type=int, default=1, show_default=True)
-@click.option("--out", required=True, type=click.Path())
 @_sampling_options
 @_guarded
-def uncond(bundle_dir, n, out, graph_steps, layout_steps, kernel, leak,
-           guidance_scale, seed):
+def uncond(n, **opts):
     """Sample scenes from the unconditional prior."""
-    seed = _resolve_seed(seed)
-    pipe = _pipeline(bundle_dir, graph_steps, layout_steps, kernel, leak, guidance_scale)
-    rng = np.random.default_rng(seed)
-    scenes = pipe.unconditional(rng=rng, n=n)
-    save_scenes(scenes, out, meta={"seed": seed})
-    click.echo(f"wrote {len(scenes)} scenes to {out}")
+    _sample(lambda pipe, rng: pipe.unconditional(rng=rng, n=n), **opts)
 
 
 @main.command()
-@click.option("--bundle", "bundle_dir", required=True, type=click.Path(exists=True))
-@click.option("--scenes", "scenes_path", required=True, type=click.Path(exists=True))
-@click.option("--index", type=int, default=0, show_default=True)
+@_edit_options
 @click.option("--instruction", default=None)
-@click.option("--out", required=True, type=click.Path())
 @_sampling_options
 @_guarded
-def complete(bundle_dir, scenes_path, index, instruction, out, graph_steps,
-             layout_steps, kernel, leak, guidance_scale, seed):
+def complete(scenes_path, index, instruction, **opts):
     """Extend a partial scene; existing objects are kept bit-identical."""
-    seed = _resolve_seed(seed)
-    pipe = _pipeline(bundle_dir, graph_steps, layout_steps, kernel, leak, guidance_scale)
-    scene = _pick_scene(scenes_path, index)
-    rng = np.random.default_rng(seed)
-    result = pipe.complete(scene, instruction, rng=rng)
-    save_scenes([result], out, meta={"seed": seed, "instruction": instruction})
-    click.echo(f"wrote completed scene to {out}")
+    _sample(lambda pipe, rng: [pipe.complete(_pick_scene(scenes_path, index), instruction,
+                                             rng=rng)],
+            what="completed scene", instruction=instruction, **opts)
 
 
 @main.command()
-@click.option("--bundle", "bundle_dir", required=True, type=click.Path(exists=True))
-@click.option("--scenes", "scenes_path", required=True, type=click.Path(exists=True))
-@click.option("--index", type=int, default=0, show_default=True)
+@_edit_options
 @click.option("--instruction", default=None)
-@click.option("--out", required=True, type=click.Path())
 @_sampling_options
 @_guarded
-def rearrange(bundle_dir, scenes_path, index, instruction, out, graph_steps,
-              layout_steps, kernel, leak, guidance_scale, seed):
+def rearrange(scenes_path, index, instruction, **opts):
     """Re-place the scene's objects; identities and sizes are preserved."""
-    seed = _resolve_seed(seed)
-    pipe = _pipeline(bundle_dir, graph_steps, layout_steps, kernel, leak, guidance_scale)
-    scene = _pick_scene(scenes_path, index)
-    rng = np.random.default_rng(seed)
-    result = pipe.rearrange(scene, instruction, rng=rng)
-    save_scenes([result], out, meta={"seed": seed, "instruction": instruction})
-    click.echo(f"wrote rearranged scene to {out}")
+    _sample(lambda pipe, rng: [pipe.rearrange(_pick_scene(scenes_path, index), instruction,
+                                              rng=rng)],
+            what="rearranged scene", instruction=instruction, **opts)
 
 
 @main.command()
-@click.option("--bundle", "bundle_dir", required=True, type=click.Path(exists=True))
-@click.option("--scenes", "scenes_path", required=True, type=click.Path(exists=True))
-@click.option("--index", type=int, default=0, show_default=True)
+@_edit_options
 @click.option("--style", required=True, help="Style name from the bundle config.")
-@click.option("--out", required=True, type=click.Path())
 @_sampling_options
 @_guarded
-def stylize(bundle_dir, scenes_path, index, style, out, graph_steps, layout_steps,
-            kernel, leak, guidance_scale, seed):
+def stylize(scenes_path, index, style, **opts):
     """Restyle the scene's objects; geometry is preserved."""
-    seed = _resolve_seed(seed)
-    pipe = _pipeline(bundle_dir, graph_steps, layout_steps, kernel, leak, guidance_scale)
-    scene = _pick_scene(scenes_path, index)
-    rng = np.random.default_rng(seed)
-    result = pipe.stylize(scene, style, rng=rng)
-    save_scenes([result], out, meta={"seed": seed, "style": style})
-    click.echo(f"wrote stylized scene to {out}")
+    _sample(lambda pipe, rng: [pipe.stylize(_pick_scene(scenes_path, index), style, rng=rng)],
+            what="stylized scene", style=style, **opts)
 
 
 @main.command("eval")

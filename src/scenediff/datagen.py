@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SceneConfig
+from .errors import DatasetError
 from .graph import SemanticGraph, canonicalize_scene, derive_semantic_graph, pad_graph
 from .instructions import Instruction, StyleConstraint
 from .quantizer import Codebook, fit_codebook
-from .relations import RelationLabel
+from .relations import RelationLabel, pair_slots
 from .scene import LAYOUT_DIM, ObjectInstance, Scene, scene_to_layout
 
 # Padding rows carry a unit rotation so every row decodes to a valid pose.
@@ -106,6 +107,16 @@ def pad_layout(layout: np.ndarray, n_max: int) -> np.ndarray:
     return out
 
 
+def derive_graphs_and_layouts(scenes, codebook: Codebook, config: SceneConfig):
+    """Padded semantic graphs and padded layouts of a scene family, as a
+    bundle stores them: ``(graphs, layouts)`` with layouts shaped
+    (n_scenes, n_max, LAYOUT_DIM)."""
+    graphs = tuple(pad_graph(derive_semantic_graph(s, codebook, config), config.n_max)
+                   for s in scenes)
+    layouts = np.stack([pad_layout(scene_to_layout(s), config.n_max) for s in scenes])
+    return graphs, layouts
+
+
 # Quadrant centers for deliberate horizontal placement, in the order
 # (left, right, behind, front) relative to the anchor.
 _SECTOR_CENTERS = {
@@ -153,7 +164,7 @@ def _fit_style_codebook(config: SceneConfig, centroids: np.ndarray,
     codebook = fit_codebook(features, config.k_f, config.n_f, seed=seed)
     signatures = [tuple(int(v) for v in codebook.encode(c)) for c in centroids]
     if len(set(signatures)) != len(signatures):
-        raise RuntimeError("codebook failed to separate the style centroids")
+        raise DatasetError("codebook failed to separate the style centroids")
     recovered = config.with_style_codes(tuple(signatures))
     return codebook, recovered
 
@@ -223,13 +234,7 @@ def generate_dataset(config: SceneConfig, n_scenes: int, seed: int = 0) -> Datas
     codebook, recovered = _fit_style_codebook(config, centroids, features, seed)
     library = _build_library(recovered, centroids, sizes)
 
-    graphs = tuple(
-        pad_graph(derive_semantic_graph(s, codebook, recovered), recovered.n_max)
-        for s in raw_scenes
-    )
-    layouts = np.stack([
-        pad_layout(scene_to_layout(s), recovered.n_max) for s in raw_scenes
-    ])
+    graphs, layouts = derive_graphs_and_layouts(raw_scenes, codebook, recovered)
     return DatasetBundle(
         config=recovered,
         scenes=tuple(raw_scenes),
@@ -244,26 +249,19 @@ def generate_dataset(config: SceneConfig, n_scenes: int, seed: int = 0) -> Datas
 def _sample_instruction_pool(graphs, config: SceneConfig,
                              rng: np.random.Generator, limit: int = 16):
     """A few single-triplet instructions the dataset demonstrably satisfies."""
-    from .relations import pair_index
-
     pool = []
     seen = set()
     for g in graphs:
-        n = g.n_slots
-        real = [j for j in range(n) if g.categories[j] < config.k_c]
-        for j in real:
-            for k in real:
-                if j >= k:
-                    continue
-                lab = int(g.relations[pair_index(j, k, n)])
-                if lab >= RelationLabel.NONE:
-                    continue
-                trip = (int(g.categories[j]), RelationLabel(lab), int(g.categories[k]))
-                if trip not in seen:
-                    seen.add(trip)
-                    pool.append(Instruction(triplets=(trip,)))
-                if len(pool) >= limit:
-                    return pool
+        j, k = pair_slots(g.n_slots)
+        cj, ck = g.categories[j], g.categories[k]
+        keep = (cj < config.k_c) & (ck < config.k_c) & (g.relations < RelationLabel.NONE)
+        for trip in zip(cj[keep].tolist(), map(RelationLabel, g.relations[keep].tolist()),
+                        ck[keep].tolist()):
+            if trip not in seen:
+                seen.add(trip)
+                pool.append(Instruction(triplets=(trip,)))
+            if len(pool) >= limit:
+                return pool
     return pool
 
 
@@ -347,13 +345,7 @@ def toy_support(seed: int = 0, n_max: int = 4) -> DatasetBundle:
     codebook, recovered = _fit_style_codebook(base, centroids, features, seed)
     library = _build_library(recovered, centroids,
                              np.array([_TOY_SIZES[c] for c in TOY_CATEGORIES]))
-    graphs = tuple(
-        pad_graph(derive_semantic_graph(s, codebook, recovered), recovered.n_max)
-        for s in scenes
-    )
-    layouts = np.stack([
-        pad_layout(scene_to_layout(s), recovered.n_max) for s in scenes
-    ])
+    graphs, layouts = derive_graphs_and_layouts(scenes, codebook, recovered)
     return DatasetBundle(
         config=recovered,
         scenes=tuple(scenes),

@@ -23,3 +23,12 @@ class UnsatisfiableInstructionError(SceneDiffError):
     def __init__(self, message: str, stage: str = "combined"):
         super().__init__(message)
         self.stage = stage
+
+
+class SupportError(SceneDiffError, ValueError):
+    """A sampler state or a set of clamped slots has no dataset graph left to
+    explain it: the exact denoiser's support is empty there."""
+
+
+class DatasetError(SceneDiffError, RuntimeError):
+    """Dataset generation could not build a consistent bundle."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SceneConfig
-from .relations import RelationLabel, extract_relations, inverse_relation, n_pairs, pair_index
+from .relations import extract_relations, inverse_relations, n_pairs, pair_index, pair_slots
 from .scene import Scene
 
 
@@ -94,15 +94,11 @@ class SemanticGraph:
             raise ValueError("no self relation")
         if j < k:
             return int(self.relations[pair_index(j, k, self.n_slots)])
-        label = int(self.relations[pair_index(k, j, self.n_slots)])
-        if label in (empty_state(self.k_e), mask_state(self.k_e)):
-            return label
-        return int(inverse_relation(RelationLabel(label)))
+        return int(inverse_relations(self.relations[pair_index(k, j, self.n_slots)]))
 
     def empty_consistent(self) -> bool:
         """True when every empty slot has all-empty codes and relations and
         every real slot has real codes and real relations to real slots."""
-        n = self.n_slots
         is_empty = self.categories == empty_state(self.k_c)
         is_real = self.categories < self.k_c
         if not (is_empty | is_real).all():
@@ -111,15 +107,10 @@ class SemanticGraph:
         codes_real = (self.codes < self.k_f).all(axis=1)
         if not (codes_empty[is_empty].all() and codes_real[is_real].all()):
             return False
-        for j in range(n):
-            for k in range(j + 1, n):
-                label = int(self.relations[pair_index(j, k, n)])
-                if is_real[j] and is_real[k]:
-                    if label >= self.k_e:
-                        return False
-                elif label != empty_state(self.k_e):
-                    return False
-        return True
+        j, k = pair_slots(self.n_slots)
+        both_real = is_real[j] & is_real[k]
+        return bool((self.relations[both_real] < self.k_e).all()
+                    and (self.relations[~both_real] == empty_state(self.k_e)).all())
 
     def key(self) -> bytes:
         """Hashable content key; equal keys mean equal graphs of one shape."""
@@ -182,9 +173,8 @@ def pad_graph(graph: SemanticGraph, n_max: int) -> SemanticGraph:
     codes = np.full((n_max, graph.n_f), empty_state(graph.k_f), dtype=np.int64)
     codes[:n] = graph.codes
     rels = np.full(n_pairs(n_max), empty_state(graph.k_e), dtype=np.int64)
-    for j in range(n):
-        for k in range(j + 1, n):
-            rels[pair_index(j, k, n_max)] = graph.relations[pair_index(j, k, n)]
+    # The pairs of the first n slots are the pairs with k < n, in the same order.
+    rels[pair_slots(n_max)[1] < n] = graph.relations
     return SemanticGraph(cats, codes, rels, k_c=graph.k_c, k_f=graph.k_f, k_e=graph.k_e)
 
 
@@ -202,16 +192,12 @@ def permute_graph(graph: SemanticGraph, perm) -> SemanticGraph:
     codes = np.empty_like(graph.codes)
     cats[perm] = graph.categories
     codes[perm] = graph.codes
-    rels = np.empty_like(graph.relations)
-    for j in range(n):
-        for k in range(j + 1, n):
-            label = int(graph.relations[pair_index(j, k, n)])
-            a, b = int(perm[j]), int(perm[k])
-            if a > b:
-                a, b = b, a
-                if label < graph.k_e:
-                    label = int(inverse_relation(RelationLabel(label)))
-            rels[pair_index(a, b, n)] = label
+    # Directed (n, n) relation table, relabelled, then read back at j < k.
+    j, k = pair_slots(n)
+    table = np.empty((n, n), dtype=np.int64)
+    table[perm[j], perm[k]] = graph.relations
+    table[perm[k], perm[j]] = inverse_relations(graph.relations)
+    rels = table[j, k]
     return SemanticGraph(cats, codes, rels, k_c=graph.k_c, k_f=graph.k_f, k_e=graph.k_e)
 
 

@@ -30,11 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SceneConfig
-from .errors import UnsatisfiableInstructionError
+from .errors import SupportError, UnsatisfiableInstructionError
 from .graph import SemanticGraph, empty_state, mask_state
 from .instructions import Instruction, instruction_matches
 from .layout_diffusion import cosine_alpha_bar
-from .relations import n_pairs
+from .relations import n_pairs, pair_slots
 
 KERNEL_INDEPENDENT = "independent-mask"
 KERNEL_UNIFORM = "uniform"
@@ -151,8 +151,7 @@ def _uniform_step_matrix(k: int, stay: float, freeze_empty: bool) -> np.ndarray:
 
 
 def _assemble_schedule(k: int, kernel: str, alphas, betas, gammas,
-                       step_matrices, freeze_empty: bool,
-                       check_terminal: bool = False) -> MaskSchedule:
+                       step_matrices, freeze_empty: bool) -> MaskSchedule:
     T = len(step_matrices)
     m = k + 2
     q = np.stack(step_matrices, axis=0)
@@ -160,18 +159,13 @@ def _assemble_schedule(k: int, kernel: str, alphas, betas, gammas,
     qbar[0] = np.eye(m)
     for t in range(1, T + 1):
         qbar[t] = q[t - 1] @ qbar[t - 1]
-    sched = MaskSchedule(
+    return MaskSchedule(
         k=k, kernel=kernel,
         alphas=np.asarray(alphas, dtype=np.float64),
         betas=np.asarray(betas, dtype=np.float64),
         gammas=np.asarray(gammas, dtype=np.float64),
         q=q, qbar=qbar, freeze_empty=freeze_empty,
     )
-    if check_terminal and sched.terminal_mask_mass() < TERMINAL_MASK_MIN:
-        raise ValueError(
-            f"terminal mask probability {sched.terminal_mask_mass():.6f} below {TERMINAL_MASK_MIN}"
-        )
-    return sched
 
 
 def mask_schedule_from_params(k: int, alphas, betas, gammas, *,
@@ -271,13 +265,12 @@ def build_schedule(T: int, k: int, kernel: str = KERNEL_INDEPENDENT, *,
         alphas = 1.0 - gammas - k * betas
         if (alphas < -1e-15).any():
             raise ValueError("schedule parameters give a negative survival probability")
-        alphas = np.clip(alphas, 0.0, None)
-        mats = [
-            _mask_step_matrix(k, float(a), float(b), float(g), freeze_empty)
-            for a, b, g in zip(alphas, betas, gammas)
-        ]
-        return _assemble_schedule(k, kernel, alphas, betas, gammas, mats, freeze_empty,
-                                  check_terminal=node_gamma is None)
+        sched = mask_schedule_from_params(k, np.clip(alphas, 0.0, None), betas, gammas,
+                                          kernel=kernel, freeze_empty=freeze_empty)
+        if node_gamma is None and sched.terminal_mask_mass() < TERMINAL_MASK_MIN:
+            raise ValueError(f"terminal mask probability {sched.terminal_mask_mass():.6f} "
+                             f"below {TERMINAL_MASK_MIN}")
+        return sched
     if kernel == KERNEL_UNIFORM:
         ab = cosine_alpha_bar(T)
         stays = ab[1:] / ab[:-1]
@@ -326,21 +319,15 @@ def build_graph_schedule(config: SceneConfig, T: int,
                          leak: float = 0.01,
                          freeze_empty: bool = False) -> GraphSchedule:
     """Schedules for categories, codes, and relations of one scene family."""
+    edge_gamma = None
     if kernel == KERNEL_JOINT:
         node_gamma = np.array([1.0 / (T - t + 1) for t in range(1, T + 1)])
         edge_gamma = 1.0 - (1.0 - node_gamma) ** 2
-        return GraphSchedule(
-            category=build_schedule(T, config.k_c, kernel, leak=leak,
-                                    freeze_empty=freeze_empty),
-            code=build_schedule(T, config.k_f, kernel, leak=leak,
-                                freeze_empty=freeze_empty),
-            relation=build_schedule(T, config.k_e, kernel, leak=leak,
-                                    freeze_empty=freeze_empty, node_gamma=edge_gamma),
-        )
     return GraphSchedule(
         category=build_schedule(T, config.k_c, kernel, leak=leak, freeze_empty=freeze_empty),
         code=build_schedule(T, config.k_f, kernel, leak=leak, freeze_empty=freeze_empty),
-        relation=build_schedule(T, config.k_e, kernel, leak=leak, freeze_empty=freeze_empty),
+        relation=build_schedule(T, config.k_e, kernel, leak=leak, freeze_empty=freeze_empty,
+                                node_gamma=edge_gamma),
     )
 
 
@@ -492,7 +479,14 @@ class GraphDenoiser:
 
     def predict(self, graph: SemanticGraph, instruction: Instruction | None,
                 t: int) -> GraphPrediction:
-        raise NotImplementedError
+        """Single-graph form of predict_arrays."""
+        if (graph.n_slots, graph.n_f) != (self.n_slots, self.n_f):
+            raise ValueError("graph shape disagrees with the denoiser")
+        pc, pf, pe = self.predict_arrays(
+            graph.categories[None, :], graph.codes.reshape(1, -1),
+            graph.relations[None, :], instruction, t,
+        )
+        return GraphPrediction(pc[0], pf[0].reshape(self.n_slots, self.n_f, -1), pe[0])
 
     def predict_arrays(self, cat, code_flat, rel, filters, t: int, observe=None):
         """Batched prediction on raw state arrays.
@@ -623,7 +617,7 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
         peak = ll.max(axis=1, keepdims=True)
         dead = ~np.isfinite(peak[:, 0])
         if dead.any():
-            raise ValueError("a chain state has zero likelihood under every dataset graph")
+            raise SupportError("a chain state has zero likelihood under every dataset graph")
         w = np.exp(ll - peak)
         return w / w.sum(axis=1, keepdims=True)
 
@@ -661,7 +655,7 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
                | ~rel_mask[:, None, :]).all(axis=2)
         ok = okc & okf & oke
         if (~ok.any(axis=1)).any():
-            raise ValueError("frozen slots are inconsistent with every dataset graph")
+            raise SupportError("frozen slots are inconsistent with every dataset graph")
         return ok
 
     def combine_filters(self, instructions, base: np.ndarray | None,
@@ -688,22 +682,6 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
         pe = np.einsum("bu,unk->bnk", w, self._onehot_rel)
         return pc, pf, pe
 
-    def predict(self, graph: SemanticGraph, instruction: Instruction | None,
-                t: int) -> GraphPrediction:
-        if (graph.n_slots, graph.n_f) != (self.n_slots, self.n_f):
-            raise ValueError("graph shape disagrees with the dataset")
-        pc, pf, pe = self.predict_arrays(
-            graph.categories[None, :],
-            graph.codes.reshape(1, -1),
-            graph.relations[None, :],
-            instruction, t,
-        )
-        return GraphPrediction(
-            categories=pc[0],
-            codes=pf[0].reshape(self.n_slots, self.n_f, self.k_f + 1),
-            relations=pe[0],
-        )
-
 
 class UniformGraphDenoiser(GraphDenoiser):
     """Baseline denoiser predicting the uniform clean distribution."""
@@ -718,14 +696,6 @@ class UniformGraphDenoiser(GraphDenoiser):
         pf = np.full((b, self.n_slots * self.n_f, self.k_f + 1), 1.0 / (self.k_f + 1))
         pe = np.full((b, rel.shape[1], self.k_e + 1), 1.0 / (self.k_e + 1))
         return pc, pf, pe
-
-    def predict(self, graph: SemanticGraph, instruction: Instruction | None,
-                t: int) -> GraphPrediction:
-        pc, pf, pe = self.predict_arrays(
-            graph.categories[None, :], graph.codes.reshape(1, -1),
-            graph.relations[None, :], None, t,
-        )
-        return GraphPrediction(pc[0], pf[0].reshape(graph.n_slots, graph.n_f, self.k_f + 1), pe[0])
 
 
 def empirical_denoiser(dataset, schedule: GraphSchedule) -> EmpiricalGraphDenoiser:
@@ -767,18 +737,14 @@ class FrozenGraph:
         With ``slots`` given, categories and codes freeze on those slots and
         relations freeze on pairs lying entirely inside the set.
         """
-        from .relations import pair_index
-
         n = graph.n_slots
         slot_mask = np.zeros(n, dtype=bool)
         if slots is None:
             slot_mask[:] = True
         else:
             slot_mask[np.asarray(list(slots), dtype=np.int64)] = True
-        pair_mask = np.zeros(n_pairs(n), dtype=bool)
-        for j in range(n):
-            for k in range(j + 1, n):
-                pair_mask[pair_index(j, k, n)] = slot_mask[j] and slot_mask[k]
+        j, k = pair_slots(n)
+        pair_mask = slot_mask[j] & slot_mask[k]
         cat_mask = slot_mask & bool(freeze_categories)
         code_mask = np.broadcast_to(slot_mask[:, None] & bool(freeze_codes),
                                     (n, graph.n_f)).copy()
@@ -947,9 +913,8 @@ def corrupt_graph(graph: SemanticGraph, t: int, schedule: GraphSchedule,
         rel = forward_sample_array(graph.relations, t, schedule.relation, rng)
         return SemanticGraph(cat, code, rel, k_c=graph.k_c, k_f=graph.k_f, k_e=graph.k_e)
 
-    from .relations import pair_index
-
     n = graph.n_slots
+    j, k = pair_slots(n)
     cat = graph.categories.copy()
     code = graph.codes.copy()
     rel = graph.relations.copy()
@@ -966,14 +931,10 @@ def corrupt_graph(graph: SemanticGraph, t: int, schedule: GraphSchedule,
         alive = ~masked
         cat[alive] = _leak_step(cat[alive], schedule.category, u, rng)
         code[alive] = _leak_step(code[alive], schedule.code, u, rng)
-        for j in range(n):
-            for k in range(j + 1, n):
-                idx = pair_index(j, k, n)
-                if masked[j] or masked[k]:
-                    rel[idx] = rel_mask_v
-                elif rel[idx] != rel_mask_v:
-                    rel[idx : idx + 1] = _leak_step(rel[idx : idx + 1],
-                                                    schedule.relation, u, rng)
+        # Live pairs leak in pair order, one uniform draw each.
+        rel[masked[j] | masked[k]] = rel_mask_v
+        live = rel != rel_mask_v
+        rel[live] = _leak_step(rel[live], schedule.relation, u, rng)
     return SemanticGraph(cat, code, rel, k_c=graph.k_c, k_f=graph.k_f, k_e=graph.k_e)
 
 
@@ -1019,49 +980,30 @@ def variational_bound(denoiser: GraphDenoiser, graph: SemanticGraph,
     weights = weights or LossWeights()
     if n_mc < 1:
         raise ValueError("need at least one Monte Carlo draw")
-    totals = {"category": 0.0, "code": 0.0, "relation": 0.0}
-    clean = {
-        "category": graph.categories,
-        "code": graph.codes.reshape(-1),
-        "relation": graph.relations,
-    }
-    kind_schedules = {
-        "category": schedule.category,
-        "code": schedule.code,
-        "relation": schedule.relation,
-    }
+    kinds = (schedule.category, schedule.code, schedule.relation)
+    totals = [0.0, 0.0, 0.0]
     for t in range(1, schedule.T + 1):
         for _ in range(n_mc):
             g_t = corrupt_graph(graph, t, schedule, rng)
             pred = denoiser.predict(g_t, instruction, t)
-            states = {
-                "category": g_t.categories,
-                "code": g_t.codes.reshape(-1),
-                "relation": g_t.relations,
-            }
-            preds = {
-                "category": pred.categories,
-                "code": pred.codes.reshape(-1, pred.codes.shape[-1]),
-                "relation": pred.relations,
-            }
-            for kind in totals:
-                sched = kind_schedules[kind]
-                for slot in range(states[kind].shape[0]):
-                    x_t = int(states[kind][slot])
-                    x0 = int(clean[kind][slot])
-                    p_slot = preds[kind][slot]
+            for i, (sched, x0s, x_ts, preds) in enumerate(zip(
+                    kinds, _per_slot(graph), _per_slot(g_t), _per_slot(pred))):
+                for x0, x_t, p_slot in zip(x0s.tolist(), x_ts.tolist(), preds):
                     if t == 1:
                         prob = model_posterior(x_t, p_slot, 1, sched)[x0]
-                        totals[kind] += -math.log(max(float(prob), 1e-300)) / n_mc
+                        totals[i] += -math.log(max(float(prob), 1e-300)) / n_mc
                     else:
                         q_post = true_posterior(x_t, x0, t, sched)
                         p_post = model_posterior(x_t, p_slot, t, sched)
-                        totals[kind] += _kl(q_post, p_post) / n_mc
-    return (
-        weights.category * totals["category"]
-        + weights.code * totals["code"]
-        + weights.relation * totals["relation"]
-    )
+                        totals[i] += _kl(q_post, p_post) / n_mc
+    return (weights.category * totals[0] + weights.code * totals[1]
+            + weights.relation * totals[2])
+
+
+def _per_slot(x) -> tuple:
+    """Category, code and relation entries of a graph or a prediction, one
+    per slot (the code slots of all objects flattened in order)."""
+    return (x.categories, x.codes.reshape(-1, *x.codes.shape[2:]), x.relations)
 
 
 def schedule_to_json(schedule: GraphSchedule) -> dict:

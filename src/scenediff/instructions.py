@@ -18,7 +18,7 @@ import numpy as np
 from .config import SceneConfig
 from .errors import InstructionParseError, VocabularyError
 from .graph import SemanticGraph, empty_state
-from .relations import RelationLabel
+from .relations import RelationLabel, inverse_relations, pair_slots
 
 MAX_TRIPLETS = 2
 
@@ -241,20 +241,15 @@ def instruction_matches(graph: SemanticGraph, instr: Instruction) -> bool:
         raise ValueError("instruction_matches needs a clean graph")
     cats = graph.categories
     real = np.flatnonzero(cats < graph.k_c)
+    j, k = pair_slots(graph.n_slots)
+    cj, ck = cats[j], cats[k]
+    live = (cj < graph.k_c) & (ck < graph.k_c)
+    forward, inverted = graph.relations, inverse_relations(graph.relations)
     for subject, rel, obj in instr.triplets:
-        found = False
-        for j in real:
-            if cats[j] != subject:
-                continue
-            for k in real:
-                if k == j or cats[k] != obj:
-                    continue
-                if graph.relation(int(j), int(k)) == int(rel):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+        # Realized by a real-real pair read either way round.
+        hit = (((cj == subject) & (ck == obj) & (forward == rel))
+               | ((ck == subject) & (cj == obj) & (inverted == rel)))
+        if not (hit & live).any():
             return False
     if instr.style is not None:
         target = np.asarray(instr.style.codes, dtype=np.int64)

@@ -10,7 +10,7 @@ back bit-identical rather than merely similar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -148,6 +148,20 @@ class ScenePipeline:
                       id_prefix: str = "sampled") -> list[Scene]:
         return self.generate(None, rng=rng, n=n, id_prefix=id_prefix)
 
+    def _edit(self, scene: Scene, instruction: Instruction | None,
+              rng: np.random.Generator, **freeze) -> SemanticGraph:
+        """Sample a graph for an edit: the scene's padded graph, clamped as
+        ``freeze`` (FrozenGraph.from_graph's keywords) asks."""
+        base = pad_graph(
+            derive_semantic_graph(scene, self.bundle.codebook, self.config),
+            self.config.n_max,
+        )
+        return reverse_sample(
+            self.graph_denoiser, self.graph_schedule, rng,
+            instruction=instruction, guidance=self.gen.guidance,
+            frozen=FrozenGraph.from_graph(base, **freeze),
+        )
+
     def complete(self, scene: Scene, instruction=None, *,
                  rng: np.random.Generator, scene_id: str | None = None) -> Scene:
         """Extend a partial scene; existing objects come back bit-identical.
@@ -161,28 +175,16 @@ class ScenePipeline:
         n0 = scene.n_objects
         if n0 > self.config.n_max:
             raise ValueError("partial scene already exceeds the slot budget")
-        base = pad_graph(
-            derive_semantic_graph(scene, self.bundle.codebook, self.config),
-            self.config.n_max,
-        )
-        frozen = FrozenGraph.from_graph(
-            base, freeze_categories=True, freeze_codes=True, freeze_relations=True,
-            slots=range(n0),
-        )
-        graph = reverse_sample(
-            self.graph_denoiser, self.graph_schedule, rng,
-            instruction=instr, guidance=self.gen.guidance, frozen=frozen,
-        )
+        graph = self._edit(scene, instr, rng, freeze_categories=True, freeze_codes=True,
+                           freeze_relations=True, slots=range(n0))
         original = scene_to_layout(scene)
         layout = self.decode_layout(graph, rng,
                                     frozen_rows={i: original[i] for i in range(n0)})
-        objects = []
-        for slot in self._real_slots(graph):
-            if slot < n0:
-                objects.append(scene.objects[slot])
-            else:
-                objects.append(self._object_from_slot(slot, graph, layout[slot]))
-        return Scene(id=scene_id or f"{scene.id}-completed", objects=tuple(objects))
+        objects = tuple(
+            scene.objects[s] if s < n0 else self._object_from_slot(s, graph, layout[s])
+            for s in self._real_slots(graph)
+        )
+        return Scene(id=scene_id or f"{scene.id}-completed", objects=objects)
 
     def rearrange(self, scene: Scene, instruction=None, *,
                   rng: np.random.Generator, scene_id: str | None = None) -> Scene:
@@ -192,29 +194,13 @@ class ScenePipeline:
         the original objects (same assets, features, and sizes) at new poses
         decoded from the resampled relation structure.
         """
-        instr = self._resolve(instruction)
-        base = pad_graph(
-            derive_semantic_graph(scene, self.bundle.codebook, self.config),
-            self.config.n_max,
-        )
-        frozen = FrozenGraph.from_graph(base, freeze_categories=True, freeze_codes=True)
-        graph = reverse_sample(
-            self.graph_denoiser, self.graph_schedule, rng,
-            instruction=instr, guidance=self.gen.guidance, frozen=frozen,
-        )
+        graph = self._edit(scene, self._resolve(instruction), rng,
+                           freeze_categories=True, freeze_codes=True)
         layout = self.decode_layout(graph, rng)
         objects = []
         for slot in self._real_slots(graph):
-            orig = scene.objects[slot]
             location, _, rotation = layout_row_to_pose(layout[slot])
-            objects.append(ObjectInstance(
-                category=orig.category,
-                location=location,
-                size=orig.size,
-                rotation=rotation,
-                feature=orig.feature,
-                asset_id=orig.asset_id,
-            ))
+            objects.append(replace(scene.objects[slot], location=location, rotation=rotation))
         return Scene(id=scene_id or f"{scene.id}-rearranged", objects=tuple(objects))
 
     def stylize(self, scene: Scene, style, *, rng: np.random.Generator,
@@ -229,27 +215,12 @@ class ScenePipeline:
             style = StyleConstraint(codes=self.config.style_signature(style))
         if not isinstance(style, StyleConstraint):
             raise TypeError("style must be a StyleConstraint or a style name")
-        instr = Instruction(style=style)
-        base = pad_graph(
-            derive_semantic_graph(scene, self.bundle.codebook, self.config),
-            self.config.n_max,
-        )
-        frozen = FrozenGraph.from_graph(base, freeze_categories=True, freeze_relations=True)
-        graph = reverse_sample(
-            self.graph_denoiser, self.graph_schedule, rng,
-            instruction=instr, guidance=self.gen.guidance, frozen=frozen,
-        )
+        graph = self._edit(scene, Instruction(style=style), rng,
+                           freeze_categories=True, freeze_relations=True)
         objects = []
         for slot in self._real_slots(graph):
             orig = scene.objects[slot]
             asset = retrieve_object(orig.category, graph.codes[slot],
                                     self.bundle.library, self.bundle.codebook)
-            objects.append(ObjectInstance(
-                category=orig.category,
-                location=orig.location,
-                size=orig.size,
-                rotation=orig.rotation,
-                feature=asset.feature,
-                asset_id=asset.asset_id,
-            ))
+            objects.append(replace(orig, feature=asset.feature, asset_id=asset.asset_id))
         return Scene(id=scene_id or f"{scene.id}-stylized", objects=tuple(objects))

@@ -125,14 +125,6 @@ def _kmeans_pp_init(chunks: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def encode(codebook: Codebook, feature) -> np.ndarray:
-    return codebook.encode(feature)
-
-
-def decode(codebook: Codebook, codes) -> np.ndarray:
-    return codebook.decode(codes)
-
-
 def reconstruction_error(codebook: Codebook, features) -> float:
     """Mean squared reconstruction error over a feature matrix."""
     features = np.asarray(features, dtype=np.float64)

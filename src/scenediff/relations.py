@@ -14,7 +14,10 @@ overlap, and take precedence over the planar rules.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+
+import numpy as np
 
 NEAR_DISTANCE = 1.0
 FAR_DISTANCE = 3.0
@@ -61,6 +64,13 @@ def inverse_relation(label: RelationLabel) -> RelationLabel:
     if label is RelationLabel.NONE:
         return label
     return RelationLabel(label ^ 1)
+
+
+def inverse_relations(labels) -> np.ndarray:
+    """Array form of inverse_relation; labels past ``NONE`` (the empty and
+    mask states of a graph's relation alphabet) pass through unchanged."""
+    labels = np.asarray(labels, dtype=np.int64)
+    return np.where(labels < RelationLabel.NONE, labels ^ 1, labels)
 
 
 def footprint_contains(container, inner) -> bool:
@@ -127,6 +137,16 @@ def n_pairs(n: int) -> int:
     return n * (n - 1) // 2
 
 
+@functools.cache
+def pair_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only slot arrays (j, k) of every pair j < k over n slots, in
+    ``pair_index`` order: pair p joins slots j[p] and k[p]."""
+    slots = np.triu_indices(n, 1)
+    for arr in slots:
+        arr.flags.writeable = False
+    return slots
+
+
 def extract_relations(objects, near: float = NEAR_DISTANCE,
                       far: float = FAR_DISTANCE) -> list[RelationLabel]:
     """Relation labels for all ordered pairs j < k of ``objects``.
@@ -136,8 +156,5 @@ def extract_relations(objects, near: float = NEAR_DISTANCE,
     inverse and is not stored.
     """
     objs = list(objects)
-    out = []
-    for j in range(len(objs)):
-        for k in range(j + 1, len(objs)):
-            out.append(relation_between(objs[j], objs[k], near=near, far=far))
-    return out
+    return [relation_between(objs[j], objs[k], near=near, far=far)
+            for j, k in zip(*pair_slots(len(objs)))]

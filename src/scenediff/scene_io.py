@@ -15,12 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import SceneConfig
-from .datagen import Asset, AssetLibrary, DatasetBundle, pad_layout
-from .graph import derive_semantic_graph, pad_graph
+from .datagen import Asset, AssetLibrary, DatasetBundle, derive_graphs_and_layouts
 from .instructions import Instruction, StyleConstraint
 from .quantizer import Codebook
 from .relations import RelationLabel
-from .scene import ObjectInstance, Scene, scene_to_layout
+from .scene import ObjectInstance, Scene
 
 BUNDLE_FORMAT = "scene-bundle-v1"
 
@@ -188,11 +187,7 @@ def load_bundle(directory: Path | str) -> DatasetBundle:
         instruction_from_dict(d)
         for d in load_json(directory / "instructions.json")["instructions"]
     )
-    graphs = tuple(
-        pad_graph(derive_semantic_graph(s, codebook, config), config.n_max)
-        for s in scenes
-    )
-    layouts = np.stack([pad_layout(scene_to_layout(s), config.n_max) for s in scenes])
+    graphs, layouts = derive_graphs_and_layouts(scenes, codebook, config)
     return DatasetBundle(
         config=config,
         scenes=scenes,

@@ -265,6 +265,40 @@ def test_cli_stylize(tmp_path, bundle_dir, toy):
     assert "unsatisfiable instruction" in res.stderr
 
 
+def _assert_typed_failure(res, message):
+    assert res.exit_code == 4
+    assert res.stderr.splitlines() == [f"error: {message}"]
+    assert "Traceback" not in res.output
+
+
+def test_cli_dead_chain_exits_4(tmp_path):
+    # Random-family scenes hold two to four objects; under the default
+    # independent-mask kernel a chain can mix an empty category with a real
+    # code, which no dataset graph explains.
+    bundle = str(tmp_path / "rand")
+    assert _run(["make-dataset", "--out", bundle, "--family", "random",
+                 "--seed", "0"]).exit_code == 0
+    res = CliRunner().invoke(main, ["uncond", "--bundle", bundle, "--n", "5", "--seed", "0",
+                                    "--out", str(tmp_path / "u.json")])
+    _assert_typed_failure(res, "a chain state has zero likelihood under every dataset graph")
+
+
+def test_cli_complete_outside_support_exits_4(tmp_path, bundle_dir, toy):
+    # No toy scene has a table and a lamp as its first two slots.
+    scenes_path = str(tmp_path / "table-lamp.json")
+    objects = toy.scenes[0].objects
+    save_scenes([Scene(id="table-lamp", objects=(objects[0], objects[2]))], scenes_path)
+    res = CliRunner().invoke(main, ["complete", "--bundle", bundle_dir, "--scenes", scenes_path,
+                                    "--out", str(tmp_path / "x.json"), *FAST])
+    _assert_typed_failure(res, "frozen slots are inconsistent with every dataset graph")
+
+
+def test_cli_make_dataset_codebook_failure_exits_4(tmp_path):
+    res = CliRunner().invoke(main, ["make-dataset", "--out", str(tmp_path / "rand"),
+                                    "--family", "random", "--n-scenes", "500", "--seed", "0"])
+    _assert_typed_failure(res, "codebook failed to separate the style centroids")
+
+
 def test_cli_eval_reports_recall(tmp_path, bundle_dir, toy):
     text = render_instruction(toy.instructions[0], toy.config)
     gen_out = str(tmp_path / "gen.json")

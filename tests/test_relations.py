@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from scenediff.relations import (
     inverse_relation,
     n_pairs,
     pair_index,
+    pair_slots,
     relation_between,
 )
 
@@ -113,6 +115,15 @@ def test_pair_index_enumerates_upper_triangle():
         pair_index(3, 1, 5)
     with pytest.raises(ValueError):
         pair_index(0, 5, 5)
+    for n in range(8):
+        j, k = pair_slots(n)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        assert list(zip(j.tolist(), k.tolist())) == pairs
+        assert [pair_index(a, b, n) for a, b in pairs] == list(range(n_pairs(n)))
+        with pytest.raises(ValueError):
+            j[...] = 0
+        with pytest.raises(ValueError):
+            k[...] = 0
 
 
 def test_extract_relations_matches_pairwise_calls():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenediff.graph import (
     SemanticGraph,
@@ -189,6 +191,27 @@ def test_permute_graph_moves_relations():
     assert permute_graph(g, [0, 1, 2]) == g
     with pytest.raises(ValueError):
         permute_graph(g, [0, 0, 2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_permute_graph_keeps_every_directed_relation(data):
+    # Real slots first, then empty ones; real pairs draw any label up to none.
+    n = data.draw(st.integers(2, 6), label="n")
+    n_real = data.draw(st.integers(1, n), label="n_real")
+    real = st.integers(0, 2)
+    cats = [data.draw(real) for _ in range(n_real)] + [empty_state(3)] * (n - n_real)
+    codes = [[data.draw(st.integers(0, 1)) for _ in range(2)] if j < n_real
+             else [empty_state(2)] * 2 for j in range(n)]
+    rels = [data.draw(st.integers(0, int(RelationLabel.NONE))) if k < n_real
+            else empty_state(11) for j in range(n) for k in range(j + 1, n)]
+    g = _graph(cats, codes, rels)
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    p = permute_graph(g, perm)
+    for j in range(n):
+        for k in range(n):
+            if j != k:
+                assert p.relation(perm[j], perm[k]) == g.relation(j, k)
 
 
 def test_canonical_order_sorts_by_category_then_position():
