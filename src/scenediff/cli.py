@@ -84,9 +84,9 @@ def _options(*options):
 _sampling_options = _options(
     click.option("--bundle", "bundle_dir", required=True, type=click.Path(exists=True)),
     click.option("--out", required=True, type=click.Path()),
-    click.option("--graph-steps", type=int, default=100, show_default=True,
+    click.option("--graph-steps", type=click.IntRange(min=1), default=100, show_default=True,
                  help="Diffusion steps for the graph stage."),
-    click.option("--layout-steps", type=int, default=100, show_default=True,
+    click.option("--layout-steps", type=click.IntRange(min=1), default=100, show_default=True,
                  help="Diffusion steps for the layout stage."),
     click.option("--kernel", type=click.Choice(KERNELS), default=KERNEL_INDEPENDENT,
                  show_default=True, help="Forward corruption kernel."),
@@ -157,7 +157,7 @@ def make_dataset(out, family, n_scenes, seed):
 
 @main.command()
 @click.option("--instruction", default=None, help="Instruction text; omit for unconditional.")
-@click.option("--n", type=int, default=1, show_default=True)
+@click.option("--n", type=click.IntRange(min=1), default=1, show_default=True)
 @_sampling_options
 @_guarded
 def generate(instruction, n, **opts):
@@ -167,7 +167,7 @@ def generate(instruction, n, **opts):
 
 
 @main.command()
-@click.option("--n", type=int, default=1, show_default=True)
+@click.option("--n", type=click.IntRange(min=1), default=1, show_default=True)
 @_sampling_options
 @_guarded
 def uncond(n, **opts):

@@ -12,7 +12,7 @@ sampled graph distributions can be compared against exact frequencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,7 @@ class Asset:
 @dataclass(frozen=True)
 class AssetLibrary:
     assets: tuple[Asset, ...]
+    _encoded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [a.asset_id for a in self.assets]
@@ -67,6 +68,21 @@ class AssetLibrary:
     def of_category(self, category: int) -> list[Asset]:
         return sorted((a for a in self.assets if a.category == category),
                       key=lambda a: a.asset_id)
+
+    def encoded(self, codebook: Codebook) -> dict[int, tuple[tuple[Asset, ...], np.ndarray]]:
+        """Per category, its assets in id order and their (k, n_f) codes under
+        ``codebook``. Each asset is encoded once per codebook; later calls
+        return the stored table."""
+        key = (codebook.n_f, codebook.entries.shape, codebook.entries.tobytes())
+        table = self._encoded.get(key)
+        if table is None:
+            table = {}
+            for category in sorted({a.category for a in self.assets}):
+                assets = tuple(self.of_category(category))
+                table[category] = (assets, np.stack([codebook.encode(a.feature)
+                                                     for a in assets]))
+            self._encoded[key] = table
+        return table
 
 
 @dataclass(frozen=True)

@@ -225,21 +225,29 @@ class ExactEpsDenoiser(EpsDenoiser):
             raise ValueError("matching layouts disagree in shape")
         return np.stack(hit, axis=0)
 
-    def predict(self, L_t, t: int, graph: SemanticGraph) -> np.ndarray:
+    def predict(self, L_t, t: int, graph: SemanticGraph,
+                modes: np.ndarray | None = None) -> np.ndarray:
+        """Noise estimate for one noisy layout (n, 8) or a stack (b, n, 8)
+        conditioned on the same graph. ``modes`` is the graph's
+        ``matching_layouts`` stack when the caller already holds it."""
         L_t = np.asarray(L_t, dtype=np.float64)
         if not 1 <= t <= self.schedule.T:
             raise ValueError(f"t={t} outside [1, {self.schedule.T}]")
-        modes = self.matching_layouts(graph)
-        if modes.shape[1:] != L_t.shape:
+        if modes is None:
+            modes = self.matching_layouts(graph)
+        if modes.shape[1:] != L_t.shape[-2:]:
             raise ValueError("noisy layout shape disagrees with the matching set")
+        L = L_t.reshape(-1, *modes.shape[1:])
         ab = self.schedule.alpha_bar[t]
-        resid = L_t[None] - math.sqrt(ab) * modes
-        logw = -np.square(resid).sum(axis=(1, 2)) / (2.0 * (1.0 - ab))
-        logw -= logw.max()
+        resid = L[:, None] - math.sqrt(ab) * modes
+        logw = -np.square(resid).sum(axis=(2, 3)) / (2.0 * (1.0 - ab))
+        logw -= logw.max(axis=1, keepdims=True)
         w = np.exp(logw)
-        w /= w.sum()
-        post_mean = np.tensordot(w, modes, axes=1)
-        return (L_t - math.sqrt(ab) * post_mean) / math.sqrt(1.0 - ab)
+        w /= w.sum(axis=1, keepdims=True)
+        # numpy evaluates each (1, m) @ (m, n*8) product as a vector-matrix
+        # product, so a layout's estimate does not depend on the stack size.
+        post_mean = (w[:, None, :] @ modes.reshape(modes.shape[0], -1)).reshape(L.shape)
+        return ((L - math.sqrt(ab) * post_mean) / math.sqrt(1.0 - ab)).reshape(L_t.shape)
 
 
 def exact_eps_denoiser(dataset, schedule: GaussianSchedule,
@@ -247,20 +255,34 @@ def exact_eps_denoiser(dataset, schedule: GaussianSchedule,
     return ExactEpsDenoiser(dataset, schedule, stats)
 
 
-def reverse_sample_layout(denoiser: ExactEpsDenoiser, graph: SemanticGraph,
-                          schedule: GaussianSchedule, rng: np.random.Generator,
-                          n_rows: int | None = None,
-                          frozen_rows: dict[int, np.ndarray] | None = None) -> np.ndarray:
-    """Ancestral sampling of a layout conditioned on a graph.
+# Bytes of noise drawn at once: chains run in chunks whose start and step
+# noise fit in this budget, so the sampler's memory stays flat in the batch.
+_NOISE_CHUNK_BYTES = 1 << 20
 
-    Runs in standardized space from pure noise down to t = 1; the final step
-    adds no noise because its posterior variance is zero. Returns the layout
-    in raw units with the rotation pair renormalized to unit length.
-    frozen_rows maps row indices to raw rows clamped at every step; those
-    rows come back bit-identical.
+
+def reverse_sample_layout(denoiser: ExactEpsDenoiser, graphs, schedule: GaussianSchedule,
+                          rng: np.random.Generator, n_rows: int | None = None,
+                          frozen_rows: dict[int, np.ndarray] | None = None) -> np.ndarray:
+    """Ancestral sampling of layouts conditioned on graphs.
+
+    ``graphs`` is one SemanticGraph, giving one (n_rows, 8) layout, or a
+    sequence of B graphs, giving a (B, n_rows, 8) stack. The chains run
+    together in standardized space from pure noise down to t = 1; the final
+    step adds no noise because its posterior variance is zero. Chains whose
+    graphs share a key share one ``matching_layouts`` lookup and one
+    ``predict`` call per step. Noise is drawn in scene-major order, each
+    chain's start and then its noise for every noisy step, chain after
+    chain, so a batch consumes the generator exactly as B single-graph calls
+    would. Returns layouts in raw units with the rotation pair renormalized
+    to unit length. frozen_rows maps row indices to raw rows clamped at
+    every step in every chain; those rows come back bit-identical.
     """
+    single = isinstance(graphs, SemanticGraph)
+    batch = [graphs] if single else list(graphs)
+    if not batch:
+        raise ValueError("need at least one graph")
     if n_rows is None:
-        n_rows = graph.n_slots
+        n_rows = batch[0].n_slots
     if n_rows < 1:
         raise ValueError("cannot sample a layout with no rows")
     frozen_raw = {}
@@ -272,30 +294,51 @@ def reverse_sample_layout(denoiser: ExactEpsDenoiser, graph: SemanticGraph,
             frozen_raw[idx] = np.asarray(row, dtype=np.float64).copy()
             frozen_std[idx] = standardize(frozen_raw[idx], denoiser.stats)
 
-    L = rng.standard_normal((n_rows, LAYOUT_DIM))
-    for idx, row in frozen_std.items():
-        L[idx] = row
-    for t in range(schedule.T, 0, -1):
-        eps_hat = denoiser.predict(L, t, graph)
-        beta = schedule.betas[t - 1]
-        ab = schedule.alpha_bar[t]
-        mean = (L - beta / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(1.0 - beta)
-        var = schedule.posterior_var[t - 1]
-        if var > 0.0:
-            L = mean + math.sqrt(var) * rng.standard_normal(L.shape)
-        else:
-            L = mean
+    key_ids: dict[bytes, int] = {}
+    group = np.array([key_ids.setdefault(g.key(), len(key_ids)) for g in batch])
+    reps = [batch[i] for i in np.unique(group, return_index=True)[1]]
+    modes = [denoiser.matching_layouts(g) for g in reps]
+
+    draws = 1 + int((schedule.posterior_var > 0.0).sum())  # start, then noisy steps
+    chunk = max(1, _NOISE_CHUNK_BYTES // (draws * n_rows * LAYOUT_DIM * 8))
+    L_all = np.empty((len(batch), n_rows, LAYOUT_DIM))
+    for lo in range(0, len(batch), chunk):
+        hi = min(lo + chunk, len(batch))
+        noise = rng.standard_normal((hi - lo, draws, n_rows, LAYOUT_DIM))
+        # Sort the chunk's chains by key so each key is one contiguous slice.
+        order = np.argsort(group[lo:hi], kind="stable")
+        keys = group[lo:hi][order]
+        cuts = [0, *(np.flatnonzero(np.diff(keys)) + 1), hi - lo]
+        slices = [(keys[a], slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+        L = noise[order, 0]
+        draw = 1
         for idx, row in frozen_std.items():
-            L[idx] = row
-    out = destandardize(L, denoiser.stats)
-    norm = np.hypot(out[:, 6], out[:, 7])
+            L[:, idx] = row
+        for t in range(schedule.T, 0, -1):
+            eps_hat = np.empty_like(L)
+            for k, sl in slices:
+                eps_hat[sl] = denoiser.predict(L[sl], t, reps[k], modes=modes[k])
+            beta = schedule.betas[t - 1]
+            ab = schedule.alpha_bar[t]
+            mean = (L - beta / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(1.0 - beta)
+            var = schedule.posterior_var[t - 1]
+            if var > 0.0:
+                L = mean + math.sqrt(var) * noise[order, draw]
+                draw += 1
+            else:
+                L = mean
+            for idx, row in frozen_std.items():
+                L[:, idx] = row
+        L_all[lo + order] = L
+    out = destandardize(L_all, denoiser.stats)
+    norm = np.hypot(out[..., 6], out[..., 7])
     if (norm < 1e-12).any():
         raise ValueError("degenerate rotation vector in sampled layout")
-    out[:, 6] /= norm
-    out[:, 7] /= norm
+    out[..., 6] /= norm
+    out[..., 7] /= norm
     for idx, row in frozen_raw.items():
-        out[idx] = row
-    return out
+        out[:, idx] = row
+    return out[0] if single else out
 
 
 def simple_loss(denoiser: EpsDenoiser, dataset, schedule: GaussianSchedule,

@@ -56,25 +56,19 @@ def retrieve_object(category: int, codes, library: AssetLibrary,
 
     Assets of the category are ranked by how many code chunks they share
     with the query; chunks holding empty or mask states are wildcards. Ties
-    resolve to the lowest asset id, so retrieval is deterministic.
+    resolve to the lowest asset id, so retrieval is deterministic. Asset
+    codes come from ``library.encoded(codebook)``, which encodes each asset
+    once per codebook.
     """
-    candidates = library.of_category(int(category))
-    if not candidates:
+    entry = library.encoded(codebook).get(int(category))
+    if entry is None:
         raise KeyError(f"no assets for category {category}")
     codes = np.asarray(codes, dtype=np.int64).reshape(-1)
     if codes.shape[0] != codebook.n_f:
         raise ValueError("code signature length disagrees with the codebook")
-    best, best_score = None, -1
-    for asset in candidates:
-        acodes = codebook.encode(asset.feature)
-        score = sum(
-            1
-            for j in range(codebook.n_f)
-            if codes[j] < codebook.k_f and int(acodes[j]) == int(codes[j])
-        )
-        if score > best_score:
-            best, best_score = asset, score
-    return best
+    assets, asset_codes = entry
+    score = ((asset_codes == codes) & (codes < codebook.k_f)).sum(axis=1)
+    return assets[int(np.argmax(score))]
 
 
 class ScenePipeline:
@@ -90,6 +84,7 @@ class ScenePipeline:
         self.graph_denoiser = EmpiricalGraphDenoiser(bundle.graphs, self.graph_schedule)
         self.layout_schedule = build_gaussian_schedule(self.gen.layout_steps)
         self.layout_denoiser = exact_eps_denoiser(bundle.layout_pairs(), self.layout_schedule)
+        bundle.library.encoded(bundle.codebook)  # encode every asset now, not per retrieval
 
     def _resolve(self, instruction) -> Instruction | None:
         if instruction is None:
@@ -118,22 +113,6 @@ class ScenePipeline:
     def _real_slots(self, graph: SemanticGraph) -> list[int]:
         return [int(s) for s in np.flatnonzero(graph.categories < self.config.k_c)]
 
-    def decode_layout(self, graph: SemanticGraph, rng: np.random.Generator,
-                      frozen_rows=None) -> np.ndarray:
-        return reverse_sample_layout(
-            self.layout_denoiser, graph, self.layout_schedule, rng,
-            n_rows=self.config.n_max, frozen_rows=frozen_rows,
-        )
-
-    def realize(self, graph: SemanticGraph, rng: np.random.Generator,
-                scene_id: str) -> Scene:
-        """Decode a clean graph into a concrete scene."""
-        layout = self.decode_layout(graph, rng)
-        objects = tuple(
-            self._object_from_slot(s, graph, layout[s]) for s in self._real_slots(graph)
-        )
-        return Scene(id=scene_id, objects=objects)
-
     def generate(self, instruction=None, *, rng: np.random.Generator, n: int = 1,
                  id_prefix: str = "generated") -> list[Scene]:
         """Sample n scenes, optionally conditioned on an instruction."""
@@ -142,7 +121,13 @@ class ScenePipeline:
             self.graph_denoiser, self.graph_schedule, n, rng,
             instructions=instr, guidance=self.gen.guidance,
         )
-        return [self.realize(g, rng, f"{id_prefix}-{i:04d}") for i, g in enumerate(graphs)]
+        layouts = reverse_sample_layout(self.layout_denoiser, graphs, self.layout_schedule,
+                                        rng, n_rows=self.config.n_max)
+        return [
+            Scene(id=f"{id_prefix}-{i:04d}", objects=tuple(
+                self._object_from_slot(s, g, layout[s]) for s in self._real_slots(g)))
+            for i, (g, layout) in enumerate(zip(graphs, layouts))
+        ]
 
     def unconditional(self, *, rng: np.random.Generator, n: int = 1,
                       id_prefix: str = "sampled") -> list[Scene]:
@@ -178,8 +163,9 @@ class ScenePipeline:
         graph = self._edit(scene, instr, rng, freeze_categories=True, freeze_codes=True,
                            freeze_relations=True, slots=range(n0))
         original = scene_to_layout(scene)
-        layout = self.decode_layout(graph, rng,
-                                    frozen_rows={i: original[i] for i in range(n0)})
+        layout = reverse_sample_layout(self.layout_denoiser, graph, self.layout_schedule, rng,
+                                       n_rows=self.config.n_max,
+                                       frozen_rows={i: original[i] for i in range(n0)})
         objects = tuple(
             scene.objects[s] if s < n0 else self._object_from_slot(s, graph, layout[s])
             for s in self._real_slots(graph)
@@ -196,7 +182,8 @@ class ScenePipeline:
         """
         graph = self._edit(scene, self._resolve(instruction), rng,
                            freeze_categories=True, freeze_codes=True)
-        layout = self.decode_layout(graph, rng)
+        layout = reverse_sample_layout(self.layout_denoiser, graph, self.layout_schedule, rng,
+                                       n_rows=self.config.n_max)
         objects = []
         for slot in self._real_slots(graph):
             location, _, rotation = layout_row_to_pose(layout[slot])

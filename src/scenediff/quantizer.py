@@ -126,10 +126,14 @@ def _kmeans_pp_init(chunks: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def reconstruction_error(codebook: Codebook, features) -> float:
-    """Mean squared reconstruction error over a feature matrix."""
+    """Mean squared reconstruction error over a feature matrix.
+
+    Each chunk reconstructs to its nearest centroid, so its error is its
+    smallest squared distance to a centroid.
+    """
     features = np.asarray(features, dtype=np.float64)
-    errs = 0.0
-    for row in features:
-        rec = codebook.decode(codebook.encode(row))
-        errs += float(((row - rec) ** 2).sum())
-    return errs / features.shape[0]
+    if features.ndim != 2 or features.shape[1] != codebook.d:
+        raise ValueError(f"features must be an (n, {codebook.d}) matrix")
+    chunks = features.reshape(-1, codebook.d_z)
+    d2 = ((chunks[:, None, :] - codebook.entries[None, :, :]) ** 2).sum(axis=2)
+    return float(d2.min(axis=1).sum()) / features.shape[0]

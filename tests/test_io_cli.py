@@ -299,6 +299,17 @@ def test_cli_make_dataset_codebook_failure_exits_4(tmp_path):
     _assert_typed_failure(res, "codebook failed to separate the style centroids")
 
 
+@pytest.mark.parametrize("option", ["--n", "--graph-steps", "--layout-steps"])
+def test_cli_rejects_a_zero_count_as_usage_error(tmp_path, bundle_dir, option):
+    out = tmp_path / "x.json"
+    res = CliRunner().invoke(main, ["uncond", "--bundle", bundle_dir, "--out", str(out),
+                                    *FAST, option, "0"])
+    assert res.exit_code == 2
+    assert f"Invalid value for '{option}'" in res.stderr
+    assert "Traceback" not in res.output
+    assert not out.exists()
+
+
 def test_cli_eval_reports_recall(tmp_path, bundle_dir, toy):
     text = render_instruction(toy.instructions[0], toy.config)
     gen_out = str(tmp_path / "gen.json")

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from scenediff import layout_diffusion
 from scenediff.graph import SemanticGraph
 from scenediff.layout_diffusion import (
     MAX_STEP_VARIANCE,
@@ -315,6 +316,83 @@ def test_frozen_rows_come_back_bit_identical(toy, sched):
                               frozen_rows={4: keep})
     with pytest.raises(ValueError, match="no rows"):
         reverse_sample_layout(den, g, sched, np.random.default_rng(1), n_rows=0)
+
+
+def test_stacked_prediction_equals_one_layout_at_a_time(toy, sched, rng):
+    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
+    g = toy.graphs[0]
+    stack = rng.normal(size=(5, 4, 8))
+    for t in (1, 4, 10):
+        want = np.stack([den.predict(L, t, g) for L in stack])
+        assert np.array_equal(den.predict(stack, t, g), want)
+        assert np.array_equal(den.predict(stack, t, g, modes=den.matching_layouts(g)), want)
+    with pytest.raises(ValueError, match="shape disagrees"):
+        den.predict(np.zeros((5, 3, 8)), 1, g)
+
+
+def _mixed_key_batch(toy, size):
+    """Graphs under four match keys, interleaved: two exact keys, a
+    code-free fallback and a multiset fallback."""
+    g = toy.graphs[0]
+    codes = np.array(g.codes)
+    codes[1] = 0  # chair style no dataset graph carries
+    rels = np.array(g.relations)
+    rels[0] = int(rels[0]) ^ 1  # unseen skeleton
+    keys = [g, toy.graphs[5], _with(g, codes=codes), _with(g, rels=rels)]
+    pattern = (2, 0, 3, 1, 1, 2, 0)
+    return [keys[pattern[i % len(pattern)]] for i in range(size)]
+
+
+@pytest.mark.parametrize("chains_per_chunk", [3, None])
+def test_batch_equals_single_graph_calls(toy, sched, monkeypatch, chains_per_chunk):
+    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
+    per_chain = sched.T * 4 * 8 * 8  # start plus T - 1 noisy steps, 4 rows of 8 doubles
+    if chains_per_chunk is not None:
+        monkeypatch.setattr(layout_diffusion, "_NOISE_CHUNK_BYTES", chains_per_chunk * per_chain)
+    chunk = layout_diffusion._NOISE_CHUNK_BYTES // per_chain
+    graphs = _mixed_key_batch(toy, chunk + 5)
+    assert len({g.key() for g in graphs}) == 4
+    rng_batch, rng_single = np.random.default_rng(11), np.random.default_rng(11)
+    out = reverse_sample_layout(den, graphs, sched, rng_batch)
+    want = np.stack([reverse_sample_layout(den, g, sched, rng_single) for g in graphs])
+    assert out.shape == (len(graphs), 4, 8)
+    assert np.array_equal(out, want)
+    assert rng_batch.bit_generator.state == rng_single.bit_generator.state
+
+
+def test_frozen_rows_bit_identical_across_a_batch(toy, sched):
+    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
+    graphs = _mixed_key_batch(toy, 9)
+    keep = {0: np.asarray(toy.layouts[0][0]) + 0.25, 2: np.asarray(toy.layouts[3][2]) - 0.1}
+    rng_batch, rng_single = np.random.default_rng(4), np.random.default_rng(4)
+    out = reverse_sample_layout(den, graphs, sched, rng_batch, frozen_rows=keep)
+    for idx, row in keep.items():
+        assert (out[:, idx] == row).all()
+    want = [reverse_sample_layout(den, g, sched, rng_single, frozen_rows=keep) for g in graphs]
+    assert np.array_equal(out, np.stack(want))
+    with pytest.raises(ValueError, match="outside layout"):
+        reverse_sample_layout(den, graphs, sched, rng_batch, frozen_rows={4: keep[0]})
+
+
+def test_fallback_logs_once_per_call(toy, sched, caplog):
+    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
+    graphs = _mixed_key_batch(toy, 12)
+    with caplog.at_level(logging.INFO, logger="scenediff.layout_diffusion"):
+        reverse_sample_layout(den, graphs, sched, np.random.default_rng(0))
+    messages = [r.getMessage() for r in caplog.records]
+    assert sum("code-free" in m for m in messages) == 1
+    assert sum("multiset" in m for m in messages) == 1
+
+
+def test_batch_without_a_match_raises(toy, sched):
+    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
+    g = toy.graphs[0]
+    cats = np.array(g.categories)
+    cats[2] = 1  # two chairs: a multiset no scene produces
+    with pytest.raises(KeyError, match="no dataset layout matches"):
+        reverse_sample_layout(den, [g, _with(g, cats=cats)], sched, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="at least one graph"):
+        reverse_sample_layout(den, [], sched, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,18 @@ def test_reconstruction_error_monotone_in_codebook_size():
     assert errs[0] > errs[-1]
 
 
+def test_reconstruction_error_matches_the_row_loop(toy):
+    book = toy.codebook
+    feats = np.stack([o.feature for s in toy.scenes for o in s.objects]
+                     + [a.feature for a in toy.library])
+    want = sum(float(((row - book.decode(book.encode(row))) ** 2).sum())
+               for row in feats) / feats.shape[0]
+    assert want > 0.0
+    assert reconstruction_error(book, feats) == pytest.approx(want, rel=0.0, abs=1e-12)
+    with pytest.raises(ValueError):
+        reconstruction_error(book, feats[:, :-1])
+
+
 def test_fit_is_deterministic():
     rng = np.random.default_rng(5)
     feats = rng.normal(size=(20, 6))
