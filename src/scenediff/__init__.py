@@ -52,7 +52,6 @@ from .graph_diffusion import (
     EmpiricalGraphDenoiser,
     FrozenGraph,
     GraphDenoiser,
-    GraphPrediction,
     GraphSchedule,
     GuidanceConfig,
     LossWeights,
@@ -62,7 +61,6 @@ from .graph_diffusion import (
     build_graph_schedule,
     build_schedule,
     corrupt_graph,
-    empirical_denoiser,
     forward_sample,
     model_posterior,
     reverse_sample,
@@ -84,7 +82,6 @@ from .layout_diffusion import (
     build_gaussian_schedule,
     compute_layout_stats,
     cosine_alpha_bar,
-    exact_eps_denoiser,
     forward_sample_layout,
     reverse_sample_layout,
     simple_loss,

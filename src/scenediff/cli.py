@@ -47,12 +47,15 @@ def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
     env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise click.UsageError(f"{ENV_SEED} must be an integer, got {env!r}")
-    return 0
+    if env is None:
+        return 0
+    try:
+        seed = int(env)
+    except ValueError:
+        raise click.UsageError(f"{ENV_SEED} must be an integer, got {env!r}")
+    if seed < 0:
+        raise click.UsageError(f"{ENV_SEED} must be non-negative, got {env!r}")
+    return seed
 
 
 def _guarded(fn):
@@ -90,11 +93,11 @@ _sampling_options = _options(
                  help="Diffusion steps for the layout stage."),
     click.option("--kernel", type=click.Choice(KERNELS), default=KERNEL_INDEPENDENT,
                  show_default=True, help="Forward corruption kernel."),
-    click.option("--leak", type=float, default=0.01, show_default=True,
+    click.option("--leak", type=click.FloatRange(min=0), default=0.01, show_default=True,
                  help="Uniform label leak of the masking kernels."),
-    click.option("--guidance-scale", type=float, default=0.0, show_default=True,
-                 help="Classifier-free guidance strength."),
-    click.option("--seed", type=int, default=None,
+    click.option("--guidance-scale", type=click.FloatRange(min=0), default=0.0,
+                 show_default=True, help="Classifier-free guidance strength."),
+    click.option("--seed", type=click.IntRange(min=0), default=None,
                  help=f"RNG seed; falls back to ${ENV_SEED}, then 0."),
 )
 _edit_options = _options(
@@ -132,9 +135,9 @@ def main():
 @click.option("--out", required=True, type=click.Path(), help="Bundle directory to write.")
 @click.option("--family", type=click.Choice(["toy", "random"]), default="toy",
               show_default=True)
-@click.option("--n-scenes", type=int, default=50, show_default=True,
+@click.option("--n-scenes", type=click.IntRange(min=1), default=50, show_default=True,
               help="Scene count for the random family.")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @_guarded
 def make_dataset(out, family, n_scenes, seed):
     """Generate a dataset bundle with style-clustered features."""
@@ -244,10 +247,10 @@ def render_svg_cmd(bundle_dir, scenes_path, index, out):
 
 @main.command("schedule-dump")
 @click.option("--bundle", "bundle_dir", required=True, type=click.Path(exists=True))
-@click.option("--steps", type=int, default=100, show_default=True)
+@click.option("--steps", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--kernel", type=click.Choice(KERNELS), default=KERNEL_INDEPENDENT,
               show_default=True)
-@click.option("--leak", type=float, default=0.01, show_default=True)
+@click.option("--leak", type=click.FloatRange(min=0), default=0.01, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Optional JSON path.")
 @_guarded
 def schedule_dump(bundle_dir, steps, kernel, leak, out):

@@ -58,12 +58,7 @@ def tv_distance(p: dict, q: dict) -> float:
 def style_match_rate(scenes, style: StyleConstraint, config: SceneConfig,
                      codebook: Codebook) -> float:
     """Fraction of scenes whose re-encoded features meet a style constraint."""
-    instr = Instruction(style=style)
-    scenes = list(scenes)
-    if not scenes:
-        raise ValueError("need at least one scene")
-    hits = sum(scene_satisfies(s, instr, config, codebook) for s in scenes)
-    return hits / len(scenes)
+    return irecall(scenes, Instruction(style=style), config, codebook)
 
 
 @dataclass(frozen=True)

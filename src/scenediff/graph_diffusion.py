@@ -465,35 +465,20 @@ class LossWeights:
     relation: float = 10.0
 
 
-@dataclass
-class GraphPrediction:
-    """Per-slot clean-label distributions; mask never receives mass."""
-
-    categories: np.ndarray  # (n, k_c + 1)
-    codes: np.ndarray       # (n, n_f, k_f + 1)
-    relations: np.ndarray   # (n_pairs, k_e + 1)
-
-
 class GraphDenoiser:
-    """Interface: predict clean-label distributions from a corrupted graph."""
+    """Interface: predict clean-label distributions from corrupted states.
 
-    def predict(self, graph: SemanticGraph, instruction: Instruction | None,
-                t: int) -> GraphPrediction:
-        """Single-graph form of predict_arrays."""
-        if (graph.n_slots, graph.n_f) != (self.n_slots, self.n_f):
-            raise ValueError("graph shape disagrees with the denoiser")
-        pc, pf, pe = self.predict_arrays(
-            graph.categories[None, :], graph.codes.reshape(1, -1),
-            graph.relations[None, :], instruction, t,
-        )
-        return GraphPrediction(pc[0], pf[0].reshape(self.n_slots, self.n_f, -1), pe[0])
+    Implementations set ``n_slots`` and ``n_f``, the slot count and the code
+    slots per object of the graphs they denoise; the samplers and the bound
+    read the state shapes from them.
+    """
 
     def predict_arrays(self, cat, code_flat, rel, filters, t: int, observe=None):
-        """Batched prediction on raw state arrays.
+        """Batched prediction on raw state arrays; mask never receives mass.
 
         cat: (B, n) labels, code_flat: (B, n * n_f), rel: (B, P). ``filters``
-        is None, one instruction shared by the batch, a per-chain sequence,
-        or a precomputed boolean matrix over the denoiser's hypotheses.
+        is None, one instruction shared by the batch, or a precomputed
+        (B, n_hypotheses) boolean matrix over the denoiser's hypotheses.
         ``observe`` optionally masks which slots carry evidence, as a triple
         of boolean arrays shaped like the state arrays; clamped slots are
         excluded there because their values are not forward samples. Returns
@@ -622,22 +607,12 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
         return w / w.sum(axis=1, keepdims=True)
 
     def _resolve_filters(self, filters, batch: int):
-        if filters is None:
-            return None
-        if isinstance(filters, Instruction):
+        if filters is None or isinstance(filters, Instruction):
             vec = self.filter_vector(filters)
             return None if vec is None else np.broadcast_to(vec, (batch, self.n_unique))
-        if isinstance(filters, np.ndarray):
-            if filters.shape != (batch, self.n_unique) and filters.shape != (self.n_unique,):
-                raise ValueError("filter matrix shape disagrees with the batch")
-            return np.broadcast_to(filters, (batch, self.n_unique))
-        rows = []
-        for instr in filters:
-            vec = self.filter_vector(instr) if instr is not None else None
-            rows.append(np.ones(self.n_unique, dtype=bool) if vec is None else vec)
-        if len(rows) != batch:
-            raise ValueError("need one instruction per chain")
-        return np.stack(rows, axis=0)
+        if np.shape(filters) != (batch, self.n_unique):
+            raise ValueError("filter matrix shape disagrees with the batch")
+        return filters
 
     def frozen_value_filter(self, cat_mask, cat_values, code_mask, code_values,
                             rel_mask, rel_values) -> np.ndarray:
@@ -696,10 +671,6 @@ class UniformGraphDenoiser(GraphDenoiser):
         pf = np.full((b, self.n_slots * self.n_f, self.k_f + 1), 1.0 / (self.k_f + 1))
         pe = np.full((b, rel.shape[1], self.k_e + 1), 1.0 / (self.k_e + 1))
         return pc, pf, pe
-
-
-def empirical_denoiser(dataset, schedule: GraphSchedule) -> EmpiricalGraphDenoiser:
-    return EmpiricalGraphDenoiser(dataset, schedule)
 
 
 def _onehot(labels: np.ndarray, n: int) -> np.ndarray:
@@ -811,24 +782,19 @@ def reverse_sample_batch(denoiser: GraphDenoiser, schedule: GraphSchedule,
                          n_chains: int, rng: np.random.Generator, *,
                          instructions=None,
                          guidance: GuidanceConfig | None = None,
-                         frozen=None,
-                         n_slots: int | None = None,
-                         n_f: int | None = None) -> list[SemanticGraph]:
+                         frozen=None) -> list[SemanticGraph]:
     """Run n_chains reverse chains in lockstep and return clean graphs.
 
     Masking kernels start from the all-mask state; uniform-structure kernels
-    start from their near-uniform terminal. ``instructions`` may be a single
-    instruction shared by every chain or one per chain; guidance with a
-    positive scale mixes in a second, unconditional prediction. ``frozen``
-    clamps chosen slots to clean values at every step, which is how
-    completion, rearrangement, and stylization condition on partial scenes.
+    start from their near-uniform terminal. ``instructions`` is one
+    instruction shared by every chain; guidance with a positive scale mixes
+    in a second, unconditional prediction. ``frozen`` clamps chosen slots to
+    clean values at every step, which is how completion, rearrangement, and
+    stylization condition on partial scenes.
     """
     if n_chains < 1:
         raise ValueError("need at least one chain")
-    n_slots = n_slots if n_slots is not None else getattr(denoiser, "n_slots", None)
-    n_f = n_f if n_f is not None else getattr(denoiser, "n_f", None)
-    if n_slots is None or n_f is None:
-        raise ValueError("denoiser does not expose slot shape; pass n_slots and n_f")
+    n_slots, n_f = denoiser.n_slots, denoiser.n_f
     guidance = guidance or GuidanceConfig()
     k_c, k_f, k_e = schedule.category.k, schedule.code.k, schedule.relation.k
 
@@ -868,9 +834,6 @@ def reverse_sample_batch(denoiser: GraphDenoiser, schedule: GraphSchedule,
         cat = _reverse_step_kind(cat, pc, schedule.category, t, rng, fcm)
         code = _reverse_step_kind(code, pf, schedule.code, t, rng, ffm)
         rel = _reverse_step_kind(rel, pe, schedule.relation, t, rng, frm)
-        cat = np.where(fcm, fcv, cat)
-        code = np.where(ffm, ffv, code)
-        rel = np.where(frm, frv, rel)
 
     out = []
     for b in range(n_chains):
@@ -886,13 +849,11 @@ def reverse_sample(denoiser: GraphDenoiser, schedule: GraphSchedule,
                    rng: np.random.Generator, *,
                    instruction: Instruction | None = None,
                    guidance: GuidanceConfig | None = None,
-                   frozen: FrozenGraph | None = None,
-                   n_slots: int | None = None,
-                   n_f: int | None = None) -> SemanticGraph:
+                   frozen: FrozenGraph | None = None) -> SemanticGraph:
     """Single-chain reverse sampling; see reverse_sample_batch."""
     return reverse_sample_batch(
         denoiser, schedule, 1, rng, instructions=instruction,
-        guidance=guidance, frozen=frozen, n_slots=n_slots, n_f=n_f,
+        guidance=guidance, frozen=frozen,
     )[0]
 
 
@@ -953,8 +914,27 @@ def _leak_step(values: np.ndarray, schedule: MaskSchedule, t: int,
     return _sample_rows(probs, rng).reshape(values.shape).astype(np.int64)
 
 
-def _kl(q: np.ndarray, p: np.ndarray) -> float:
-    """KL(q || p) for dense categorical vectors; 0 log 0 = 0."""
+def _bound_term(mixture: np.ndarray, x0: np.ndarray, x_t: np.ndarray,
+                p_x0: np.ndarray, t: int) -> float:
+    """One variable kind's bound term at step t, summed over its slots.
+
+    ``mixture`` is posterior_mixture_tensor at t. Each slot's exact reverse
+    conditional q is the row of mixture[x_t] at x0; the denoiser-induced p
+    mixes the rows with the predicted clean-label weights and renormalizes,
+    as model_posterior does. Returns the summed KL(q || p) (0 log 0 = 0,
+    +inf where p misses mass of q), or at t = 1 the reconstruction negative
+    log likelihood -log p(x0).
+    """
+    rows = mixture[x_t]
+    p = np.einsum("sk,skj->sj", p_x0, rows)
+    total = p.sum(axis=1, keepdims=True)
+    if (total <= 0.0).any():
+        raise ValueError("all mixture components are impossible for this state")
+    p = p / total
+    slots = np.arange(x0.shape[0])
+    if t == 1:
+        return float(-np.log(np.maximum(p[slots, x0], 1e-300)).sum())
+    q = rows[slots, x0]
     support = q > 0.0
     if (p[support] <= 0.0).any():
         return float("inf")
@@ -980,30 +960,21 @@ def variational_bound(denoiser: GraphDenoiser, graph: SemanticGraph,
     weights = weights or LossWeights()
     if n_mc < 1:
         raise ValueError("need at least one Monte Carlo draw")
+    if (graph.n_slots, graph.n_f) != (denoiser.n_slots, denoiser.n_f):
+        raise ValueError("graph shape disagrees with the denoiser")
     kinds = (schedule.category, schedule.code, schedule.relation)
+    clean = (graph.categories, graph.codes.reshape(-1), graph.relations)
     totals = [0.0, 0.0, 0.0]
     for t in range(1, schedule.T + 1):
+        mixtures = [posterior_mixture_tensor(sched, t) for sched in kinds]
         for _ in range(n_mc):
             g_t = corrupt_graph(graph, t, schedule, rng)
-            pred = denoiser.predict(g_t, instruction, t)
-            for i, (sched, x0s, x_ts, preds) in enumerate(zip(
-                    kinds, _per_slot(graph), _per_slot(g_t), _per_slot(pred))):
-                for x0, x_t, p_slot in zip(x0s.tolist(), x_ts.tolist(), preds):
-                    if t == 1:
-                        prob = model_posterior(x_t, p_slot, 1, sched)[x0]
-                        totals[i] += -math.log(max(float(prob), 1e-300)) / n_mc
-                    else:
-                        q_post = true_posterior(x_t, x0, t, sched)
-                        p_post = model_posterior(x_t, p_slot, t, sched)
-                        totals[i] += _kl(q_post, p_post) / n_mc
+            noisy = (g_t.categories, g_t.codes.reshape(-1), g_t.relations)
+            preds = denoiser.predict_arrays(*(x[None] for x in noisy), instruction, t)
+            for i, (mixture, x0, x_t, p) in enumerate(zip(mixtures, clean, noisy, preds)):
+                totals[i] += _bound_term(mixture, x0, x_t, p[0], t) / n_mc
     return (weights.category * totals[0] + weights.code * totals[1]
             + weights.relation * totals[2])
-
-
-def _per_slot(x) -> tuple:
-    """Category, code and relation entries of a graph or a prediction, one
-    per slot (the code slots of all objects flattened in order)."""
-    return (x.categories, x.codes.reshape(-1, *x.codes.shape[2:]), x.relations)
 
 
 def schedule_to_json(schedule: GraphSchedule) -> dict:

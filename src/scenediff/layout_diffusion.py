@@ -250,11 +250,6 @@ class ExactEpsDenoiser(EpsDenoiser):
         return ((L - math.sqrt(ab) * post_mean) / math.sqrt(1.0 - ab)).reshape(L_t.shape)
 
 
-def exact_eps_denoiser(dataset, schedule: GaussianSchedule,
-                       stats: LayoutStats | None = None) -> ExactEpsDenoiser:
-    return ExactEpsDenoiser(dataset, schedule, stats)
-
-
 # Bytes of noise drawn at once: chains run in chunks whose start and step
 # noise fit in this budget, so the sampler's memory stays flat in the batch.
 _NOISE_CHUNK_BYTES = 1 << 20

@@ -27,8 +27,8 @@ from .graph_diffusion import (
 )
 from .instructions import Instruction, StyleConstraint, parse_instruction
 from .layout_diffusion import (
+    ExactEpsDenoiser,
     build_gaussian_schedule,
-    exact_eps_denoiser,
     reverse_sample_layout,
 )
 from .quantizer import Codebook
@@ -83,7 +83,7 @@ class ScenePipeline:
         )
         self.graph_denoiser = EmpiricalGraphDenoiser(bundle.graphs, self.graph_schedule)
         self.layout_schedule = build_gaussian_schedule(self.gen.layout_steps)
-        self.layout_denoiser = exact_eps_denoiser(bundle.layout_pairs(), self.layout_schedule)
+        self.layout_denoiser = ExactEpsDenoiser(bundle.layout_pairs(), self.layout_schedule)
         bundle.library.encoded(bundle.codebook)  # encode every asset now, not per retrieval
 
     def _resolve(self, instruction) -> Instruction | None:

@@ -30,12 +30,12 @@ from scenediff.graph import SemanticGraph
 from scenediff.graph_diffusion import (
     KERNELS,
     MASKING_KERNELS,
+    EmpiricalGraphDenoiser,
     GuidanceConfig,
     UniformGraphDenoiser,
     apply_cfg,
     build_graph_schedule,
     build_schedule,
-    empirical_denoiser,
     forward_sample_array,
     mask_schedule_from_params,
     model_posterior,
@@ -46,8 +46,8 @@ from scenediff.graph_diffusion import (
 )
 from scenediff.instructions import Instruction, StyleConstraint, instruction_matches, render_instruction
 from scenediff.layout_diffusion import (
+    ExactEpsDenoiser,
     build_gaussian_schedule,
-    exact_eps_denoiser,
     reverse_sample_layout,
     standardize,
 )
@@ -225,7 +225,7 @@ def test_c04_distribution_recovery(toy):
     """50k reverse chains at T=100 recover the dataset variant mixture."""
     t0 = time.perf_counter()
     sched = build_graph_schedule(toy.config, 100)
-    den = empirical_denoiser(list(toy.graphs), sched)
+    den = EmpiricalGraphDenoiser(list(toy.graphs), sched)
     graphs = reverse_sample_batch(den, sched, 50_000, np.random.default_rng(404))
     target = {v: float(p) for v, p in enumerate(toy_target_distribution(toy))}
     counts: dict = {}
@@ -269,7 +269,7 @@ def test_c06_variational_bound(toy):
     sched0 = build_graph_schedule(toy.config, 25, leak=0.0)
     g0 = toy.graphs[0]
     point = variational_bound(
-        empirical_denoiser([g0], sched0), g0, sched0,
+        EmpiricalGraphDenoiser([g0], sched0), g0, sched0,
         np.random.default_rng(606), n_mc=2,
     )
 
@@ -284,7 +284,7 @@ def test_c06_variational_bound(toy):
     min_gap = np.inf
     n_datasets = 0
     for (_, ga), (_, gb) in itertools.combinations(sorted(reps.items()), 2):
-        exact = empirical_denoiser([ga, gb], sched)
+        exact = EmpiricalGraphDenoiser([ga, gb], sched)
         for g in (ga, gb):
             be = variational_bound(exact, g, sched, np.random.default_rng(61), n_mc=1)
             bu = variational_bound(uni, g, sched, np.random.default_rng(61), n_mc=1)
@@ -335,7 +335,7 @@ def test_c07_layout_recovery():
     modes = _triangle_modes()
     w = np.full(3, 1.0 / 3.0)
     sched = build_gaussian_schedule(10)
-    den = exact_eps_denoiser([(_LAYOUT_GRAPH, m) for m in modes], sched)
+    den = ExactEpsDenoiser([(_LAYOUT_GRAPH, m) for m in modes], sched)
     rng = np.random.default_rng(7)
     samples = np.stack([
         reverse_sample_layout(den, _LAYOUT_GRAPH, sched, rng) for _ in range(n)
@@ -353,7 +353,7 @@ def test_c07_layout_recovery():
     z_var = float((np.abs(samples.var(axis=0) - var) / se_var).max())
     rot_err = float(np.abs(np.hypot(samples[:, :, 6], samples[:, :, 7]) - 1.0).max())
 
-    single = exact_eps_denoiser([(_LAYOUT_GRAPH, modes[0])], sched)
+    single = ExactEpsDenoiser([(_LAYOUT_GRAPH, modes[0])], sched)
     want = standardize(modes[0], single.stats)
     rng = np.random.default_rng(77)
     single_err = 0.0
@@ -494,7 +494,7 @@ def test_c10_guidance_algebra(toy):
     ),))
     assert instruction_matches(reps[4], instr) and not instruction_matches(reps[0], instr)
     sched = build_graph_schedule(toy.config, 25)
-    den = empirical_denoiser([reps[0], reps[4]], sched)
+    den = EmpiricalGraphDenoiser([reps[0], reps[4]], sched)
     recall = {}
     for s in (0.0, 1.0):
         graphs = reverse_sample_batch(

@@ -36,7 +36,6 @@ from scenediff.graph_diffusion import (
     build_graph_schedule,
     build_schedule,
     corrupt_graph,
-    empirical_denoiser,
     forward_sample,
     forward_sample_array,
     mask_schedule_from_params,
@@ -460,7 +459,15 @@ def test_apply_cfg_validation():
 
 @pytest.fixture(scope="module")
 def toy_den(toy, toy_schedule):
-    return empirical_denoiser(list(toy.graphs), toy_schedule)
+    return EmpiricalGraphDenoiser(list(toy.graphs), toy_schedule)
+
+
+def _predict_one(den, g, instruction, t):
+    """predict_arrays on one graph, as per-slot category, (n, n_f, k_f + 1)
+    code and relation distributions."""
+    pc, pf, pe = den.predict_arrays(g.categories[None], g.codes.reshape(1, -1),
+                                    g.relations[None], instruction, t)
+    return pc[0], pf[0].reshape(g.n_slots, g.n_f, -1), pe[0]
 
 
 def _oracle_weights(toy, sched, cat, code_flat, rel, t):
@@ -493,16 +500,16 @@ def test_empirical_weights_match_bayes_oracle(toy, toy_schedule, toy_den, rng):
         want = _oracle_weights(toy, toy_schedule, cat, code, rel, t)
         assert np.allclose(got, want, atol=1e-12)
         # Predictions are the weighted dataset marginals.
-        pred = toy_den.predict(g_t, None, t)
+        cats, codes, rels = _predict_one(toy_den, g_t, None, t)
         for slot in range(4):
             marginal = np.zeros(toy.config.k_c + 1)
             for w, g in zip(want, toy_den.graphs):
                 marginal[g.categories[slot]] += w
-            assert np.allclose(pred.categories[slot], marginal, atol=1e-12)
-        assert pred.categories.shape == (4, toy.config.k_c + 1)
-        assert np.allclose(pred.categories.sum(axis=-1), 1.0, atol=1e-12)
-        assert np.allclose(pred.codes.sum(axis=-1), 1.0, atol=1e-12)
-        assert np.allclose(pred.relations.sum(axis=-1), 1.0, atol=1e-12)
+            assert np.allclose(cats[slot], marginal, atol=1e-12)
+        assert cats.shape == (4, toy.config.k_c + 1)
+        assert np.allclose(cats.sum(axis=-1), 1.0, atol=1e-12)
+        assert np.allclose(codes.sum(axis=-1), 1.0, atol=1e-12)
+        assert np.allclose(rels.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_terminal_prediction_is_the_dataset_prior(toy, toy_schedule, toy_den):
@@ -513,14 +520,14 @@ def test_terminal_prediction_is_the_dataset_prior(toy, toy_schedule, toy_den):
         np.full(6, mask_state(toy.config.k_e)),
         k_c=toy.config.k_c, k_f=toy.config.k_f, k_e=toy.config.k_e,
     )
-    pred = toy_den.predict(all_mask, None, T)
+    cats, codes, _ = _predict_one(toy_den, all_mask, None, T)
     # Slot 2 holds a lamp in variants 0, 1, 4, 5 (11 of 18 scenes).
-    assert pred.categories[2, 2] == pytest.approx(11.0 / 18.0, abs=1e-12)
-    assert pred.categories[2, 3] == pytest.approx(7.0 / 18.0, abs=1e-12)
-    assert pred.categories[1, 1] == pytest.approx(1.0, abs=1e-12)
+    assert cats[2, 2] == pytest.approx(11.0 / 18.0, abs=1e-12)
+    assert cats[2, 3] == pytest.approx(7.0 / 18.0, abs=1e-12)
+    assert cats[1, 1] == pytest.approx(1.0, abs=1e-12)
     walnut = toy.config.style_signature("walnut")
     oak = toy.config.style_signature("oak")
-    chair_code = pred.codes[1]
+    chair_code = codes[1]
     # Every chair code slot splits 10/18 oak against 8/18 walnut.
     for i in range(4):
         expect = np.zeros(toy.config.k_f + 1)
@@ -566,15 +573,15 @@ def test_filtered_prediction_restricts_support(toy, toy_schedule, toy_den):
         np.full(6, mask_state(toy.config.k_e)),
         k_c=toy.config.k_c, k_f=toy.config.k_f, k_e=toy.config.k_e,
     )
-    pred = toy_den.predict(all_mask, toy.instructions[1], T)
+    cats, _, rels = _predict_one(toy_den, all_mask, toy.instructions[1], T)
     # Conditioned on a closely-left chair, slot 1 relation to slot 0 is fixed.
     from scenediff.relations import pair_index
 
     e = pair_index(0, 1, 4)
-    assert pred.relations[e, int(RelationLabel.CLOSELY_RIGHT_OF)] == pytest.approx(1.0)
+    assert rels[e, int(RelationLabel.CLOSELY_RIGHT_OF)] == pytest.approx(1.0)
     # Close variants weigh 2:2:1:1 between lamp and shelf rooms.
-    assert pred.categories[2, 2] == pytest.approx(4.0 / 6.0, abs=1e-12)
-    assert pred.categories[2, 3] == pytest.approx(2.0 / 6.0, abs=1e-12)
+    assert cats[2, 2] == pytest.approx(4.0 / 6.0, abs=1e-12)
+    assert cats[2, 3] == pytest.approx(2.0 / 6.0, abs=1e-12)
 
 
 def test_denoiser_rejects_bad_datasets(toy, toy_schedule):
@@ -597,10 +604,10 @@ def test_denoiser_rejects_bad_datasets(toy, toy_schedule):
 
 def test_zero_likelihood_state_raises(toy):
     sched = build_graph_schedule(toy.config, 8, leak=0.0)
-    den = empirical_denoiser([toy.graphs[0]], sched)
+    den = EmpiricalGraphDenoiser([toy.graphs[0]], sched)
     g = toy.graphs[-1]  # different variant: impossible under zero leak
     with pytest.raises(ValueError, match="zero likelihood"):
-        den.predict(g, None, 3)
+        _predict_one(den, g, None, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +702,7 @@ def test_exact_denoiser_reverse_runs_all_kernels(toy):
 
     for kernel in KERNELS:
         sched = build_graph_schedule(toy.config, 8, kernel, leak=0.01)
-        den = empirical_denoiser(list(toy.graphs), sched)
+        den = EmpiricalGraphDenoiser(list(toy.graphs), sched)
         graphs = reverse_sample_batch(den, sched, 6, np.random.default_rng(2),
                                       instructions=toy.instructions[0])
         for g in graphs:
@@ -780,7 +787,7 @@ def test_joint_corruption_marginals_match_schedule(toy):
 def test_bound_is_zero_for_exact_denoiser_on_point_dataset(toy):
     sched = build_graph_schedule(toy.config, 4, leak=0.0)
     g = toy.graphs[0]
-    den = empirical_denoiser([g], sched)
+    den = EmpiricalGraphDenoiser([g], sched)
     bound = variational_bound(den, g, sched, np.random.default_rng(0), n_mc=2)
     assert 0.0 <= bound <= 1e-9
 
@@ -788,7 +795,7 @@ def test_bound_is_zero_for_exact_denoiser_on_point_dataset(toy):
 def test_bound_separates_uniform_from_exact(toy):
     sched = build_graph_schedule(toy.config, 4, leak=0.0)
     pair = [toy.graphs[0], toy.graphs[-1]]
-    exact = empirical_denoiser(pair, sched)
+    exact = EmpiricalGraphDenoiser(pair, sched)
     uniform = UniformGraphDenoiser(4, 4, toy.config.k_c, toy.config.k_f)
     b_exact = variational_bound(exact, pair[0], sched, np.random.default_rng(1), n_mc=2)
     b_unif = variational_bound(uniform, pair[0], sched, np.random.default_rng(1), n_mc=2)
@@ -814,6 +821,48 @@ def test_bound_weights_and_validation(toy):
     )
     with pytest.raises(ValueError):
         variational_bound(uniform, masked, sched, np.random.default_rng(0))
+
+
+def _oracle_bound(den, graph, sched, rng, n_mc):
+    """variational_bound recomputed slot by slot from the scalar posteriors,
+    drawing the corrupted graphs in the bound's order."""
+    weights = LossWeights()
+    total = 0.0
+    for t in range(1, sched.T + 1):
+        for _ in range(n_mc):
+            g_t = corrupt_graph(graph, t, sched, rng)
+            cats, codes, rels = _predict_one(den, g_t, None, t)
+            for w, kind, x0s, x_ts, preds in zip(
+                    (weights.category, weights.code, weights.relation),
+                    (sched.category, sched.code, sched.relation),
+                    (graph.categories, graph.codes.reshape(-1), graph.relations),
+                    (g_t.categories, g_t.codes.reshape(-1), g_t.relations),
+                    (cats, codes.reshape(-1, codes.shape[-1]), rels)):
+                for x0, x_t, p_x0 in zip(x0s.tolist(), x_ts.tolist(), preds):
+                    p = model_posterior(x_t, p_x0, t, kind)
+                    if t == 1:
+                        term = -math.log(max(p[x0], 1e-300))
+                    else:
+                        q = true_posterior(x_t, x0, t, kind)
+                        s = q > 0.0
+                        term = float((q[s] * (np.log(q[s]) - np.log(p[s]))).sum())
+                    total += w * term / n_mc
+    return total
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_bound_matches_per_slot_oracle(toy, kernel):
+    sched = build_graph_schedule(toy.config, 6, kernel, leak=0.01)
+    dens = (EmpiricalGraphDenoiser(list(toy.graphs), sched),
+            UniformGraphDenoiser(4, 4, toy.config.k_c, toy.config.k_f))
+    for den in dens:
+        for g in (toy.graphs[0], toy.graphs[-1]):
+            rng_bound, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
+            got = variational_bound(den, g, sched, rng_bound, n_mc=2)
+            want = _oracle_bound(den, g, sched, rng_oracle, n_mc=2)
+            assert got > 0.0
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert rng_bound.bit_generator.state == rng_oracle.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -299,13 +299,32 @@ def test_cli_make_dataset_codebook_failure_exits_4(tmp_path):
     _assert_typed_failure(res, "codebook failed to separate the style centroids")
 
 
-@pytest.mark.parametrize("option", ["--n", "--graph-steps", "--layout-steps"])
-def test_cli_rejects_a_zero_count_as_usage_error(tmp_path, bundle_dir, option):
+@pytest.mark.parametrize("command, option, value", [
+    pytest.param("uncond", "--n", "0", id="--n"),
+    pytest.param("uncond", "--graph-steps", "0", id="--graph-steps"),
+    pytest.param("uncond", "--layout-steps", "0", id="--layout-steps"),
+    pytest.param("uncond", "--seed", "-1", id="--seed"),
+    pytest.param("uncond", "--leak", "-1", id="--leak"),
+    pytest.param("uncond", "--guidance-scale", "-1", id="--guidance-scale"),
+    pytest.param("uncond", "SCENEDIFF_SEED", "-1", id="SCENEDIFF_SEED"),
+    pytest.param("schedule-dump", "--steps", "0", id="schedule-dump:--steps"),
+    pytest.param("schedule-dump", "--leak", "-1", id="schedule-dump:--leak"),
+    pytest.param("make-dataset", "--n-scenes", "0", id="make-dataset:--n-scenes"),
+    pytest.param("make-dataset", "--seed", "-1", id="make-dataset:--seed"),
+])
+def test_cli_rejects_a_zero_count_as_usage_error(tmp_path, bundle_dir, command, option,
+                                                  value):
+    # Counts below 1 and negative seeds, leaks and guidance scales.
     out = tmp_path / "x.json"
-    res = CliRunner().invoke(main, ["uncond", "--bundle", bundle_dir, "--out", str(out),
-                                    *FAST, option, "0"])
+    args = {"uncond": ["--bundle", bundle_dir, *FAST], "schedule-dump": ["--bundle", bundle_dir],
+            "make-dataset": ["--family", "random"]}[command]
+    if option.startswith("--"):
+        env, args, expect = None, [*args, option, value], f"Invalid value for '{option}'"
+    else:
+        env, expect = {option: value}, f"{option} must be non-negative"
+    res = CliRunner().invoke(main, [command, *args, "--out", str(out)], env=env)
     assert res.exit_code == 2
-    assert f"Invalid value for '{option}'" in res.stderr
+    assert expect in res.stderr
     assert "Traceback" not in res.output
     assert not out.exists()
 

@@ -19,7 +19,6 @@ from scenediff.layout_diffusion import (
     compute_layout_stats,
     cosine_alpha_bar,
     destandardize,
-    exact_eps_denoiser,
     forward_sample_layout,
     reverse_sample_layout,
     rotation_decode,
@@ -170,7 +169,7 @@ def _with(graph, *, cats=None, codes=None, rels=None):
 
 
 def test_matching_prefers_the_exact_key(toy, sched):
-    den = exact_eps_denoiser(list(zip(toy.graphs, toy.layouts)), sched)
+    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
     hit = den.matching_layouts(toy.graphs[0])
     assert hit.shape == (4, 4, 8)  # the most frequent variant appears 4 times
     want = standardize(toy.layouts[0], den.stats)
@@ -179,7 +178,7 @@ def test_matching_prefers_the_exact_key(toy, sched):
 
 
 def test_matching_falls_back_in_order(toy, sched, caplog):
-    den = exact_eps_denoiser(list(zip(toy.graphs, toy.layouts)), sched)
+    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
     g = toy.graphs[0]
 
     codes = np.array(g.codes)
@@ -207,7 +206,7 @@ def test_matching_falls_back_in_order(toy, sched, caplog):
 def test_matching_rejects_mixed_shapes(sched):
     a = _graph([0, 1], np.zeros((2, 4)), [0])
     b = _graph([0, 1, 4], [[0] * 4, [0] * 4, [2] * 4], [0, 11, 11])
-    den = exact_eps_denoiser(
+    den = ExactEpsDenoiser(
         [(a, np.arange(16.0).reshape(2, 8)), (b, np.ones((3, 8)))], sched)
     query = _graph([0, 1], np.ones((2, 4)), [2])
     with pytest.raises(ValueError, match="disagree in shape"):
