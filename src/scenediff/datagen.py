@@ -174,15 +174,25 @@ def _category_sizes(config: SceneConfig, rng: np.random.Generator) -> np.ndarray
     return rng.uniform(0.3, 1.2, size=(config.k_c, 3))
 
 
+# Further k-means++ starts after the seeded codebook fit fails to separate
+# the styles, each from its own child of the dataset seed.
+_CODEBOOK_RETRIES = 4
+
+
 def _fit_style_codebook(config: SceneConfig, centroids: np.ndarray,
                         features: np.ndarray, seed: int):
-    """Fit the codebook and attach recovered per-style signatures."""
-    codebook = fit_codebook(features, config.k_f, config.n_f, seed=seed)
-    signatures = [tuple(int(v) for v in codebook.encode(c)) for c in centroids]
-    if len(set(signatures)) != len(signatures):
-        raise DatasetError("codebook failed to separate the style centroids")
-    recovered = config.with_style_codes(tuple(signatures))
-    return codebook, recovered
+    """Fit the codebook and attach recovered per-style signatures.
+
+    The fit seeded with ``seed`` runs first; while two styles share a
+    signature, the fit restarts from the next of _CODEBOOK_RETRIES children
+    of SeedSequence(seed). Raises DatasetError when every start fails.
+    """
+    for start in [seed, *np.random.SeedSequence(seed).spawn(_CODEBOOK_RETRIES)]:
+        codebook = fit_codebook(features, config.k_f, config.n_f, seed=start)
+        signatures = [tuple(int(v) for v in codebook.encode(c)) for c in centroids]
+        if len(set(signatures)) == len(signatures):
+            return codebook, config.with_style_codes(tuple(signatures))
+    raise DatasetError("codebook failed to separate the style centroids")
 
 
 def _build_library(config: SceneConfig, centroids: np.ndarray,

@@ -45,6 +45,9 @@ MASKING_KERNELS = (KERNEL_INDEPENDENT, KERNEL_JOINT)
 
 TERMINAL_MASK_MIN = 0.999
 
+# Bound on the per-chunk temporaries of EmpiricalGraphDenoiser.log_likelihood.
+_LIKELIHOOD_CHUNK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class MaskSchedule:
@@ -525,11 +528,25 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
         self._ucat = np.stack([g.categories for g in self.graphs])
         self._ucode = np.stack([g.codes.reshape(-1) for g in self.graphs])
         self._urel = np.stack([g.relations for g in self.graphs])
-        self._onehot_cat = _onehot(self._ucat, self.k_c + 1)
-        self._onehot_code = _onehot(self._ucode, self.k_f + 1)
-        self._onehot_rel = _onehot(self._urel, self.k_e + 1)
+        scheds = (schedule.category, schedule.code, schedule.relation)
+        labels = (self._ucat, self._ucode, self._urel)
+        # The clean one-hots of the three kinds side by side, (U, D): the
+        # columns of kind i hold its (slots, k + 1) one-hots, flattened.
+        blocks = [_onehot(u, s.k + 1).reshape(self.n_unique, -1) for u, s in zip(labels, scheds)]
+        self._onehot = np.concatenate(blocks, axis=1)
+        ends = np.cumsum([b.shape[1] for b in blocks]).tolist()
+        self._columns = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
+        # Per kind, (T + 1, k + 2, k + 1) tables over clean labels: log Qbar_t
+        # with 0 where the pair is impossible, and the 0/1 impossible-pair
+        # indicator, so that -inf never enters a matrix product.
+        self._log_tables = []
+        for s in scheds:
+            clean = s.qbar[:, :, : s.k + 1]
+            impossible = clean <= 0.0
+            self._log_tables.append((
+                np.where(impossible, 0.0, np.log(np.maximum(clean, 1e-300))),
+                impossible.astype(np.float64)))
         self._filter_cache: dict[Instruction, np.ndarray] = {}
-        self._logq_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @property
     def n_unique(self) -> int:
@@ -564,33 +581,44 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
         self._filter_cache[instruction] = mask
         return mask
 
-    def _log_qbar(self, t: int):
-        cached = self._logq_cache.get(t)
-        if cached is None:
-            cached = tuple(
-                np.where(s.qbar[t] > 0.0, np.log(np.maximum(s.qbar[t], 1e-300)), -np.inf)
-                for s in (self.schedule.category, self.schedule.code, self.schedule.relation)
-            )
-            self._logq_cache[t] = cached
-        return cached
-
     def log_likelihood(self, cat, code_flat, rel, t: int, observe=None) -> np.ndarray:
         """(B, n_unique) log q(observed state | clean graph) at step t.
 
         ``observe`` optionally restricts which slots contribute, as boolean
         arrays shaped like the states; excluded slots add nothing.
+
+        A chain's rows of log Qbar_t over clean labels, one per slot, laid
+        out like the one-hot columns, make one row whose product with a
+        graph's one-hots sums the log terms of that graph's labels. The same
+        product over the impossible-pair indicator counts the impossible
+        slots, which set -inf. Chains go in chunks whose temporaries stay
+        within _LIKELIHOOD_CHUNK_BYTES.
         """
-        lc, lf, le = self._log_qbar(t)
-        ll = np.zeros((cat.shape[0], self.n_unique), dtype=np.float64)
-        for lq, state, obs, clean in (
-            (lc, cat, None if observe is None else observe[0], self._ucat),
-            (lf, code_flat, None if observe is None else observe[1], self._ucode),
-            (le, rel, None if observe is None else observe[2], self._urel),
-        ):
-            contrib = lq[state[:, None, :], clean[None, :, :]]
-            if obs is not None:
-                contrib = np.where(obs[:, None, :], contrib, 0.0)
-            ll += contrib.sum(axis=2)
+        states = (cat, code_flat, rel)
+        observe = (None, None, None) if observe is None else observe
+        batch, (n_unique, width) = cat.shape[0], self._onehot.shape
+        widest = max(c.stop - c.start for c in self._columns)
+        # Per chain: the log and indicator rows (D each), one kind's two
+        # gathers (widest each), the impossible counts (U) and their mask.
+        per_chain = 8 * (2 * width + 2 * widest + n_unique) + n_unique
+        chunk = max(1, _LIKELIHOOD_CHUNK_BYTES // per_chain)
+        onehot_t = self._onehot.T
+        ll = np.empty((batch, n_unique), dtype=np.float64)
+        for lo in range(0, batch, chunk):
+            rows = slice(lo, lo + chunk)
+            logs = np.empty((min(chunk, batch - lo), width), dtype=np.float64)
+            impossible = np.empty_like(logs)
+            for (log_q, zero_q), cols, state, obs in zip(
+                    self._log_tables, self._columns, states, observe):
+                lq, zq = log_q[t][state[rows]], zero_q[t][state[rows]]
+                if obs is not None:
+                    lq[~obs[rows]] = 0.0
+                    zq[~obs[rows]] = 0.0
+                logs[:, cols] = lq.reshape(logs.shape[0], -1)
+                impossible[:, cols] = zq.reshape(logs.shape[0], -1)
+            np.matmul(logs, onehot_t, out=ll[rows])
+            if impossible.any():
+                ll[rows][impossible @ onehot_t > 0.0] = -np.inf
         return ll
 
     def posterior_weights(self, cat, code_flat, rel, filters, t: int,
@@ -652,10 +680,8 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
     def predict_arrays(self, cat, code_flat, rel, filters, t: int, observe=None):
         filt = self._resolve_filters(filters, cat.shape[0])
         w = self.posterior_weights(cat, code_flat, rel, filt, t, observe)
-        pc = np.einsum("bu,unk->bnk", w, self._onehot_cat)
-        pf = np.einsum("bu,unk->bnk", w, self._onehot_code)
-        pe = np.einsum("bu,unk->bnk", w, self._onehot_rel)
-        return pc, pf, pe
+        return tuple((w @ self._onehot[:, cols]).reshape(x.shape + (-1,))
+                     for cols, x in zip(self._columns, (cat, code_flat, rel)))
 
 
 class UniformGraphDenoiser(GraphDenoiser):
@@ -828,9 +854,10 @@ def reverse_sample_batch(denoiser: GraphDenoiser, schedule: GraphSchedule,
         for p, k in ((pc, k_c), (pf, k_f), (pe, k_e)):
             if p.shape[-1] != k + 1:
                 raise ValueError("denoiser must predict real labels plus empty, never mask")
-            sums = p.sum(axis=-1)
-            if not np.allclose(sums, 1.0, atol=1e-9):
-                raise ValueError("denoiser prediction is not normalized")
+        # np.allclose(sums, 1, atol=1e-9) over all three kinds at once.
+        sums = np.concatenate([p.sum(axis=-1).reshape(-1) for p in (pc, pf, pe)])
+        if not (np.abs(sums - 1.0) <= 1e-9 + 1e-5).all():
+            raise ValueError("denoiser prediction is not normalized")
         cat = _reverse_step_kind(cat, pc, schedule.category, t, rng, fcm)
         code = _reverse_step_kind(code, pf, schedule.code, t, rng, ffm)
         rel = _reverse_step_kind(rel, pe, schedule.relation, t, rng, frm)
@@ -951,8 +978,8 @@ def variational_bound(denoiser: GraphDenoiser, graph: SemanticGraph,
     Sums, over every step and slot, the KL between the exact reverse
     conditional and the denoiser-induced one, plus the reconstruction
     negative log likelihood at t = 1; the constant terminal term is dropped.
-    The three variable kinds combine with the loss weights. Non-negative by
-    construction; an exact denoiser on the graph's own point dataset drives
+    The three variable kinds combine with the loss weights. Non-negative up
+    to rounding; an exact denoiser on the graph's own point dataset drives
     it to zero when the leak is zero.
     """
     if graph.has_mask():

@@ -68,13 +68,15 @@ class Codebook:
         return self.entries[codes].reshape(-1).copy()
 
 
-def fit_codebook(features, k_f: int, n_f: int, *, iters: int = 50, seed: int = 0) -> Codebook:
+def fit_codebook(features, k_f: int, n_f: int, *, iters: int = 50,
+                 seed: int | np.random.SeedSequence = 0) -> Codebook:
     """Fit the shared chunk codebook with seeded k-means.
 
     Chunks from every feature are pooled. Initialization is k-means++ from a
-    seeded generator; Lloyd iterations run for ``iters`` rounds or until no
-    assignment changes. A cluster that empties is reseeded at the point
-    farthest from its current centroid, which keeps the fit deterministic.
+    generator seeded with ``seed``, an int or a SeedSequence; Lloyd
+    iterations run for ``iters`` rounds or until no assignment changes. A
+    cluster that empties is reseeded at the point farthest from its current
+    centroid, which keeps the fit deterministic.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] == 0:
@@ -86,7 +88,7 @@ def fit_codebook(features, k_f: int, n_f: int, *, iters: int = 50, seed: int = 0
     if chunks.shape[0] < k_f:
         raise ValueError(f"need at least k_f={k_f} chunks, got {chunks.shape[0]}")
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(chunks, k_f, rng)
 
     assign = np.full(chunks.shape[0], -1, dtype=np.int64)

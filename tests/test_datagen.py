@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from scenediff import datagen
 from scenediff.config import SceneConfig
 from scenediff.datagen import (
     PAD_ROW,
@@ -17,6 +18,7 @@ from scenediff.datagen import (
     toy_variant_map,
     toy_variant_of,
 )
+from scenediff.errors import DatasetError
 from scenediff.graph import derive_semantic_graph, pad_graph
 from scenediff.instructions import instruction_matches
 from scenediff.relations import RelationLabel
@@ -189,6 +191,27 @@ def test_generate_dataset_validation():
     )
     with pytest.raises(ValueError):
         generate_dataset(mismatched, n_scenes=3, seed=0)
+
+
+def test_codebook_fit_starts_from_the_seed_then_its_children(monkeypatch):
+    seeds = []
+    fit = datagen.fit_codebook
+
+    def spy(*args, seed, **kwargs):
+        seeds.append(seed)
+        return fit(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(datagen, "fit_codebook", spy)
+    # Seed 1 separates the styles at once; seed 4 at 50 scenes does not.
+    generate_dataset(_random_config(), n_scenes=50, seed=1)
+    assert seeds == [1]
+    bundle = generate_dataset(_random_config(), n_scenes=50, seed=4)
+    assert seeds[1] == 4
+    assert [(s.entropy, s.spawn_key) for s in seeds[2:]] == [(4, (0,))]
+    assert len(set(bundle.config.style_codes)) == 3
+    monkeypatch.setattr(datagen, "_CODEBOOK_RETRIES", 0)
+    with pytest.raises(DatasetError, match="failed to separate"):
+        generate_dataset(_random_config(), n_scenes=50, seed=4)
 
 
 def test_library_lookup(toy):

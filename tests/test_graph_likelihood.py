@@ -1,0 +1,165 @@
+"""The exact graph denoiser's likelihood and prediction as matrix products.
+
+``EmpiricalGraphDenoiser.log_likelihood`` sums log Qbar_t terms through
+products with the dataset one-hots. The oracles here are the direct forms it
+replaces: a (B, U, S) gather of log Qbar_t[observed, clean] summed over the
+slots, and an einsum of the posterior weights with per-kind one-hots.
+"""
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from scenediff import graph_diffusion
+from scenediff.config import SceneConfig
+from scenediff.datagen import generate_dataset
+from scenediff.graph_diffusion import (
+    KERNELS,
+    EmpiricalGraphDenoiser,
+    build_graph_schedule,
+    corrupt_graph,
+)
+
+T = 50
+STEPS = (T, T // 2, 5, 1)
+
+# The CLI's random family; 1000 scenes from seed 1 give 958 distinct graphs.
+RANDOM_CONFIG = SceneConfig(
+    category_names=("table", "chair", "lamp", "shelf", "sofa", "desk"),
+    k_f=3, n_f=4, n_max=6, d=16, style_names=("oak", "walnut", "steel"),
+)
+
+
+@pytest.fixture(scope="module")
+def random_bundle():
+    return generate_dataset(RANDOM_CONFIG, 1000, seed=1)
+
+
+@pytest.fixture(scope="module")
+def denoisers(random_bundle):
+    return {kernel: EmpiricalGraphDenoiser(
+        random_bundle.graphs, build_graph_schedule(random_bundle.config, T, kernel))
+        for kernel in KERNELS}
+
+
+def _clean_labels(den):
+    return (np.stack([g.categories for g in den.graphs]),
+            np.stack([g.codes.reshape(-1) for g in den.graphs]),
+            np.stack([g.relations for g in den.graphs]))
+
+
+def _gather_log_likelihood(den, states, t, observe):
+    """log q(states | every dataset graph) by a (B, U, S) gather per kind."""
+    kinds = (den.schedule.category, den.schedule.code, den.schedule.relation)
+    observe = (None, None, None) if observe is None else observe
+    ll = np.zeros((states[0].shape[0], den.n_unique))
+    for sched, state, obs, clean in zip(kinds, states, observe, _clean_labels(den)):
+        q = sched.qbar[t]
+        log_q = np.where(q > 0.0, np.log(np.maximum(q, 1e-300)), -np.inf)
+        contrib = log_q[state[:, None, :], clean[None, :, :]]
+        if obs is not None:
+            contrib = np.where(obs[:, None, :], contrib, 0.0)
+        ll += contrib.sum(axis=2)
+    return ll
+
+
+def _einsum_prediction(den, w):
+    out = []
+    for sched, clean in zip((den.schedule.category, den.schedule.code, den.schedule.relation),
+                            _clean_labels(den)):
+        onehot = np.eye(sched.k + 1)[clean]
+        out.append(np.einsum("bu,unk->bnk", w, onehot))
+    return out
+
+
+def _states(bundle, den, t, rng, n_noisy=24, n_random=8):
+    """Forward samples of dataset graphs, then states drawn uniformly over
+    the whole alphabet (mask included), most of which some graph rules out."""
+    noisy = [corrupt_graph(bundle.graphs[i], t, den.schedule, rng)
+             for i in rng.choice(bundle.n_scenes, n_noisy, replace=False)]
+    states = [np.stack([g.categories for g in noisy]),
+              np.stack([g.codes.reshape(-1) for g in noisy]),
+              np.stack([g.relations for g in noisy])]
+    for i, sched in enumerate((den.schedule.category, den.schedule.code, den.schedule.relation)):
+        extra = rng.integers(sched.n_states, size=(n_random, states[i].shape[1]))
+        states[i] = np.concatenate([states[i], extra])
+    return tuple(states), n_noisy
+
+
+def _observe(states, rng):
+    return tuple(rng.random(s.shape) < 0.7 for s in states)
+
+
+def _assert_agrees(got, want):
+    assert got.shape == want.shape
+    assert not np.isnan(got).any() and not np.isposinf(got).any()
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    finite = np.isfinite(want)
+    assert finite.any()
+    assert np.abs(got[finite] - want[finite]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_log_likelihood_matches_the_gather(random_bundle, denoisers, kernel):
+    den = denoisers[kernel]
+    rng = np.random.default_rng(KERNELS.index(kernel))
+    for t in STEPS:
+        states, _ = _states(random_bundle, den, t, rng)
+        for observe in (None, _observe(states, rng)):
+            _assert_agrees(den.log_likelihood(*states, t, observe),
+                           _gather_log_likelihood(den, states, t, observe))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_prediction_matches_the_einsum(random_bundle, denoisers, kernel):
+    den = denoisers[kernel]
+    rng = np.random.default_rng(10 + KERNELS.index(kernel))
+    for t in STEPS:
+        states, n_noisy = _states(random_bundle, den, t, rng)
+        # Forward samples of dataset graphs keep a positive posterior.
+        states = tuple(s[:n_noisy] for s in states)
+        for observe in (None, _observe(states, rng)):
+            got = den.predict_arrays(*states, None, t, observe)
+            w = den.posterior_weights(*states, None, t, observe)
+            for p, want in zip(got, _einsum_prediction(den, w)):
+                assert p.shape == want.shape
+                assert np.array_equal(p == 0.0, want == 0.0)
+                assert np.abs(p - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("budget", [1, 40_000])
+def test_small_chunks_match_the_gather(random_bundle, denoisers, monkeypatch, budget):
+    # On this bundle a budget of one byte gives one chain per chunk, and
+    # 40 kB gives chunks of two chains and a last chunk of one.
+    monkeypatch.setattr(graph_diffusion, "_LIKELIHOOD_CHUNK_BYTES", budget)
+    rng = np.random.default_rng(20)
+    for kernel in ("independent-mask", "uniform"):
+        den = denoisers[kernel]
+        states, _ = _states(random_bundle, den, 5, rng, n_noisy=4, n_random=1)
+        for observe in (None, _observe(states, rng)):
+            _assert_agrees(den.log_likelihood(*states, 5, observe),
+                           _gather_log_likelihood(den, states, 5, observe))
+
+
+@pytest.mark.parametrize("batch", [100, 1000])
+def test_log_likelihood_memory_is_bounded(denoisers, batch):
+    # Beyond its (B, U) result, one call allocates at most the chunk budget
+    # and, if a product copies it, the one-hot table; the (B, U, S) gather
+    # took 29 MB at B = 100 and 293 MB at B = 1000.
+    den = denoisers["uniform"]
+    kinds = ((den.schedule.category, den.n_slots),
+             (den.schedule.code, den.n_slots * den.n_f),
+             (den.schedule.relation, den.n_slots * (den.n_slots - 1) // 2))
+    onehot_bytes = 8 * den.n_unique * sum(width * (s.k + 1) for s, width in kinds)
+    rng = np.random.default_rng(batch)
+    states = [rng.integers(s.k + 1, size=(batch, width)) for s, width in kinds]
+    tracemalloc.start()
+    try:
+        ll = den.log_likelihood(*states, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert den.n_unique == 958 and ll.shape == (batch, 958)
+    assert peak - ll.nbytes < graph_diffusion._LIKELIHOOD_CHUNK_BYTES + onehot_bytes

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from scenediff import datagen
 from scenediff.cli import main
 from scenediff.evaluation import scene_satisfies
 from scenediff.graph_diffusion import build_graph_schedule, schedule_to_json
@@ -293,10 +294,30 @@ def test_cli_complete_outside_support_exits_4(tmp_path, bundle_dir, toy):
     _assert_typed_failure(res, "frozen slots are inconsistent with every dataset graph")
 
 
-def test_cli_make_dataset_codebook_failure_exits_4(tmp_path):
+def test_cli_make_dataset_codebook_failure_exits_4(tmp_path, monkeypatch):
+    # The seeded fit fails for this seed and size; with no retries left the
+    # build fails.
+    monkeypatch.setattr(datagen, "_CODEBOOK_RETRIES", 0)
     res = CliRunner().invoke(main, ["make-dataset", "--out", str(tmp_path / "rand"),
                                     "--family", "random", "--n-scenes", "500", "--seed", "0"])
     _assert_typed_failure(res, "codebook failed to separate the style centroids")
+
+
+@pytest.mark.parametrize("seed, n_scenes", [(0, 300), (0, 500), (2, 300), (3, 500), (4, 50),
+                                            (4, 200)])
+def test_cli_make_dataset_retries_the_codebook_fit(tmp_path, seed, n_scenes):
+    # The seeded codebook fit gives two styles one signature for these
+    # pairs; a restart from a child of the seed separates them.
+    out = str(tmp_path / "rand")
+    res = _run(["make-dataset", "--out", out, "--family", "random",
+                "--n-scenes", str(n_scenes), "--seed", str(seed)])
+    assert res.exit_code == 0
+    bundle = load_bundle(out)
+    signatures = bundle.config.style_codes
+    assert len(signatures) == 3 and len(set(signatures)) == 3
+    for asset in bundle.library:
+        style = int(asset.asset_id.split("-")[2])
+        assert tuple(bundle.codebook.encode(asset.feature)) == signatures[style]
 
 
 @pytest.mark.parametrize("command, option, value", [
