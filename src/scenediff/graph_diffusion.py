@@ -65,6 +65,9 @@ class MaskSchedule:
         q: (T, k + 2, k + 2) per-step column-stochastic transition matrices.
         qbar: (T + 1, k + 2, k + 2) cumulative products, qbar[0] = identity.
         freeze_empty: when True the empty state never corrupts.
+
+    posterior_mixture_tensor memoizes its per-t tensors on the schedule, one
+    read-only array per t, built the first time a t is asked for.
     """
 
     k: int
@@ -75,6 +78,7 @@ class MaskSchedule:
     q: np.ndarray
     qbar: np.ndarray
     freeze_empty: bool = False
+    _mixtures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kernel not in KERNELS:
@@ -386,7 +390,13 @@ def true_posterior(x_t: int, x0: int, t: int, schedule: MaskSchedule) -> np.ndar
 
 def posterior_mixture_tensor(schedule: MaskSchedule, t: int) -> np.ndarray:
     """Tensor M[i, k, j] = q(x_{t-1} = j | x_t = i, x_0 = k) for clean labels
-    k in [0, k_real] (mask excluded); impossible (i, k) pairs give zero rows."""
+    k in [0, k_real] (mask excluded); impossible (i, k) pairs give zero rows.
+
+    Built once per schedule and t, then returned read-only from the
+    schedule's memo."""
+    out = schedule._mixtures.get(t)
+    if out is not None:
+        return out
     if not 1 <= t <= schedule.T:
         raise ValueError(f"t={t} outside [1, {schedule.T}]")
     m = schedule.n_states
@@ -396,6 +406,8 @@ def posterior_mixture_tensor(schedule: MaskSchedule, t: int) -> np.ndarray:
     out = np.zeros((m, n_clean, m), dtype=np.float64)
     ok = denom > 0.0
     out[ok] = num[ok] / denom[ok][:, None]
+    out.flags.writeable = False
+    schedule._mixtures[t] = out
     return out
 
 
@@ -536,16 +548,30 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
         self._onehot = np.concatenate(blocks, axis=1)
         ends = np.cumsum([b.shape[1] for b in blocks]).tolist()
         self._columns = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
-        # Per kind, (T + 1, k + 2, k + 1) tables over clean labels: log Qbar_t
-        # with 0 where the pair is impossible, and the 0/1 impossible-pair
-        # indicator, so that -inf never enters a matrix product.
-        self._log_tables = []
-        for s in scheds:
-            clean = s.qbar[:, :, : s.k + 1]
+        # Per t, two flat tables: the three kinds' (k + 2, k + 1) tables over
+        # clean labels, flattened and concatenated, and one trailing 0. One
+        # holds log Qbar_t with 0 where the pair is impossible, the other the
+        # 0/1 impossible-pair indicator, so that -inf never enters a matrix
+        # product. One-hot column c (slot s, label l of a kind) reads entry
+        # base[c] + x[s] * stride[c] for a chain state x laid out as the
+        # three kinds side by side; unobserved columns read the 0.
+        logs, indicators, base, stride, slot = [], [], [], [], []
+        offset = first_slot = 0
+        for s, u in zip(scheds, labels):
+            clean = s.qbar[:, :, : s.k + 1].reshape(schedule.T + 1, -1)
             impossible = clean <= 0.0
-            self._log_tables.append((
-                np.where(impossible, 0.0, np.log(np.maximum(clean, 1e-300))),
-                impossible.astype(np.float64)))
+            logs.append(np.where(impossible, 0.0, np.log(np.maximum(clean, 1e-300))))
+            indicators.append(impossible)
+            n, width = u.shape[1], s.k + 1
+            base.append(np.tile(offset + np.arange(width), n))
+            stride.append(np.full(n * width, width))
+            slot.append(np.repeat(first_slot + np.arange(n), width))
+            offset += clean.shape[1]
+            first_slot += n
+        pad = [np.zeros((schedule.T + 1, 1))]
+        self._flat_log = np.concatenate(logs + pad, axis=1)
+        self._flat_impossible = np.concatenate(indicators + pad, axis=1)
+        self._base, self._stride, self._slot = (np.concatenate(a) for a in (base, stride, slot))
         self._filter_cache: dict[Instruction, np.ndarray] = {}
 
     @property
@@ -585,38 +611,39 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
         """(B, n_unique) log q(observed state | clean graph) at step t.
 
         ``observe`` optionally restricts which slots contribute, as boolean
-        arrays shaped like the states; excluded slots add nothing.
+        arrays shaped like the states; excluded slots add nothing. States
+        must lie in their kind's alphabet, 0..k + 1; this is not checked.
 
-        A chain's rows of log Qbar_t over clean labels, one per slot, laid
-        out like the one-hot columns, make one row whose product with a
-        graph's one-hots sums the log terms of that graph's labels. The same
-        product over the impossible-pair indicator counts the impossible
-        slots, which set -inf. Chains go in chunks whose temporaries stay
-        within _LIKELIHOOD_CHUNK_BYTES.
+        A chain's entries of log Qbar_t over clean labels, one per one-hot
+        column, make one row whose product with a graph's one-hots sums the
+        log terms of that graph's labels; one gather through the flat index
+        of each column reads them. The same product over the impossible-pair
+        indicator counts the impossible slots, which set -inf. Chains go in
+        chunks whose temporaries stay within _LIKELIHOOD_CHUNK_BYTES.
         """
         states = (cat, code_flat, rel)
-        observe = (None, None, None) if observe is None else observe
         batch, (n_unique, width) = cat.shape[0], self._onehot.shape
-        widest = max(c.stop - c.start for c in self._columns)
-        # Per chain: the log and indicator rows (D each), one kind's two
-        # gathers (widest each), the impossible counts (U) and their mask.
-        per_chain = 8 * (2 * width + 2 * widest + n_unique) + n_unique
+        n_state = sum(x.shape[1] for x in states)
+        # Per chain: the state row, the flat indices before and after the
+        # observed columns redirect them, the log and indicator rows (D
+        # each), the impossible counts (U) and their mask, and the observed
+        # slots and columns.
+        per_chain = 8 * (n_state + 4 * width + n_unique) + n_unique + n_state + width
         chunk = max(1, _LIKELIHOOD_CHUNK_BYTES // per_chain)
+        log_t, impossible_t = self._flat_log[t], self._flat_impossible[t]
+        unobserved = log_t.shape[0] - 1
         onehot_t = self._onehot.T
         ll = np.empty((batch, n_unique), dtype=np.float64)
         for lo in range(0, batch, chunk):
             rows = slice(lo, lo + chunk)
-            logs = np.empty((min(chunk, batch - lo), width), dtype=np.float64)
-            impossible = np.empty_like(logs)
-            for (log_q, zero_q), cols, state, obs in zip(
-                    self._log_tables, self._columns, states, observe):
-                lq, zq = log_q[t][state[rows]], zero_q[t][state[rows]]
-                if obs is not None:
-                    lq[~obs[rows]] = 0.0
-                    zq[~obs[rows]] = 0.0
-                logs[:, cols] = lq.reshape(logs.shape[0], -1)
-                impossible[:, cols] = zq.reshape(logs.shape[0], -1)
-            np.matmul(logs, onehot_t, out=ll[rows])
+            idx = np.concatenate([x[rows] for x in states], axis=1)[:, self._slot]
+            idx *= self._stride
+            idx += self._base
+            if observe is not None:
+                seen = np.concatenate([o[rows] for o in observe], axis=1)[:, self._slot]
+                idx = np.where(seen, idx, unobserved)
+            np.matmul(log_t[idx], onehot_t, out=ll[rows])
+            impossible = impossible_t[idx]
             if impossible.any():
                 ll[rows][impossible @ onehot_t > 0.0] = -np.inf
         return ll
@@ -780,27 +807,35 @@ def _initial_states(schedule: MaskSchedule, rows: int, cols: int,
 
 
 def _reverse_step_kind(states: np.ndarray, px0: np.ndarray, schedule: MaskSchedule,
-                       t: int, rng: np.random.Generator,
-                       frozen_mask: np.ndarray) -> np.ndarray:
+                       t: int, rng: np.random.Generator, free: np.ndarray) -> np.ndarray:
     """Advance one kind's state matrix from time t to t - 1.
 
-    Frozen entries pass through untouched; they hold clean values that the
-    time-t mixture would reject as impossible.
+    Only the entries at the flat indices ``free`` move. Frozen entries pass
+    through untouched; they hold clean values that the time-t mixture would
+    reject as impossible. A kind with no free entry draws nothing.
     """
-    out = states.reshape(-1).copy()
-    free = np.flatnonzero(~frozen_mask.reshape(-1))
-    if free.size:
-        M = posterior_mixture_tensor(schedule, t)
-        flat = out[free]
-        p0 = px0.reshape(-1, px0.shape[-1])[free]
+    if not free.size:
+        return states
+    M = posterior_mixture_tensor(schedule, t)
+    flat = states.reshape(-1)[free]
+    p0 = px0.reshape(-1, px0.shape[-1])[free]
+    if (flat == flat[0]).all():
+        probs = p0 @ M[flat[0]]
+    else:
         probs = np.empty((free.size, schedule.n_states), dtype=np.float64)
         for value in np.unique(flat):
             rows = flat == value
             probs[rows] = p0[rows] @ M[value]
-        totals = probs.sum(axis=1)
-        if (totals <= 0.0).any():
-            raise ValueError("reverse step produced an impossible state")
-        out[free] = _sample_rows(probs, rng)
+    cdf = probs.cumsum(axis=1)
+    totals = cdf[:, -1]
+    if totals.min() <= 0.0:
+        raise ValueError("reverse step produced an impossible state")
+    u = rng.random(free.size) * totals
+    drawn = (cdf < u[:, None]).sum(axis=1)
+    if free.size == states.size:
+        return drawn.reshape(states.shape)
+    out = states.reshape(-1).copy()
+    out[free] = drawn
     return out.reshape(states.shape)
 
 
@@ -843,6 +878,7 @@ def reverse_sample_batch(denoiser: GraphDenoiser, schedule: GraphSchedule,
         base = denoiser.frozen_value_filter(fcm, fcv, ffm, ffv, frm, frv)
         cond_filters = denoiser.combine_filters(instructions, base, n_chains)
         uncond_filters = base
+    free_cat, free_code, free_rel = (np.flatnonzero(~m.reshape(-1)) for m in (fcm, ffm, frm))
 
     for t in range(schedule.T, 0, -1):
         pc, pf, pe = denoiser.predict_arrays(cat, code, rel, cond_filters, t, observe)
@@ -855,12 +891,12 @@ def reverse_sample_batch(denoiser: GraphDenoiser, schedule: GraphSchedule,
             if p.shape[-1] != k + 1:
                 raise ValueError("denoiser must predict real labels plus empty, never mask")
         # np.allclose(sums, 1, atol=1e-9) over all three kinds at once.
-        sums = np.concatenate([p.sum(axis=-1).reshape(-1) for p in (pc, pf, pe)])
+        sums = np.concatenate([p.sum(axis=-1) for p in (pc, pf, pe)], axis=None)
         if not (np.abs(sums - 1.0) <= 1e-9 + 1e-5).all():
             raise ValueError("denoiser prediction is not normalized")
-        cat = _reverse_step_kind(cat, pc, schedule.category, t, rng, fcm)
-        code = _reverse_step_kind(code, pf, schedule.code, t, rng, ffm)
-        rel = _reverse_step_kind(rel, pe, schedule.relation, t, rng, frm)
+        cat = _reverse_step_kind(cat, pc, schedule.category, t, rng, free_cat)
+        code = _reverse_step_kind(code, pf, schedule.code, t, rng, free_code)
+        rel = _reverse_step_kind(rel, pe, schedule.relation, t, rng, free_rel)
 
     out = []
     for b in range(n_chains):

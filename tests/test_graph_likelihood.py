@@ -18,6 +18,7 @@ from scenediff.datagen import generate_dataset
 from scenediff.graph_diffusion import (
     KERNELS,
     EmpiricalGraphDenoiser,
+    FrozenGraph,
     build_graph_schedule,
     corrupt_graph,
 )
@@ -127,6 +128,45 @@ def test_prediction_matches_the_einsum(random_bundle, denoisers, kernel):
                 assert p.shape == want.shape
                 assert np.array_equal(p == 0.0, want == 0.0)
                 assert np.abs(p - want).max() <= 1e-12
+
+
+# FrozenGraph.from_graph's keywords for the pipeline's three edits.
+EDITS = {
+    "complete": dict(freeze_categories=True, freeze_codes=True, freeze_relations=True,
+                     slots=range(2)),
+    "rearrange": dict(freeze_categories=True, freeze_codes=True),
+    "stylize": dict(freeze_categories=True, freeze_relations=True),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("edit", sorted(EDITS))
+def test_one_chain_edit_likelihood_matches_the_gather(random_bundle, denoisers, kernel, edit):
+    # One chain per call, observing what the edit leaves free: a forward
+    # sample, the all-mask start and a state over the whole alphabet, each
+    # with the frozen slots clamped to the edited graph's values. The last
+    # two are often impossible under every graph, so the rows are compared
+    # together.
+    den = denoisers[kernel]
+    rng = np.random.default_rng(30 + KERNELS.index(kernel))
+    kinds = (den.schedule.category, den.schedule.code, den.schedule.relation)
+    got, want = [], []
+    for i in rng.choice(random_bundle.n_scenes, 3, replace=False):
+        graph = random_bundle.graphs[i]
+        f = FrozenGraph.from_graph(graph, **EDITS[edit])
+        masks = (f.cat_mask, f.code_mask.reshape(-1), f.rel_mask)
+        values = (f.cat_values, f.code_values.reshape(-1), f.rel_values)
+        observe = tuple(~m[None] for m in masks)
+        for t in STEPS:
+            noisy = corrupt_graph(graph, t, den.schedule, rng)
+            starts = ((noisy.categories, noisy.codes.reshape(-1), noisy.relations),
+                      tuple(np.full(v.shape, s.k + 1) for v, s in zip(values, kinds)),
+                      tuple(rng.integers(s.n_states, size=v.shape) for v, s in zip(values, kinds)))
+            for start in starts:
+                states = tuple(np.where(m, v, x)[None] for m, v, x in zip(masks, values, start))
+                got.append(den.log_likelihood(*states, t, observe))
+                want.append(_gather_log_likelihood(den, states, t, observe))
+    _assert_agrees(np.concatenate(got), np.concatenate(want))
 
 
 @pytest.mark.parametrize("budget", [1, 40_000])
