@@ -358,12 +358,16 @@ def forward_sample_array(x0, t: int, schedule: MaskSchedule,
     return _sample_rows(probs, rng).reshape(x0.shape)
 
 
-def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw per row of a (rows, states) probability matrix."""
+def _sample_rows(probs: np.ndarray, rng: np.random.Generator,
+                 error: str = "a sampling row has zero total mass") -> np.ndarray:
+    """One categorical draw per row of a (rows, states) probability matrix.
+
+    Raises ValueError with ``error`` when a row has no mass.
+    """
     cdf = np.cumsum(probs, axis=1)
     totals = cdf[:, -1]
     if (totals <= 0.0).any():
-        raise ValueError("a sampling row has zero total mass")
+        raise ValueError(error)
     u = rng.random(probs.shape[0]) * totals
     return (cdf < u[:, None]).sum(axis=1).astype(np.int64)
 
@@ -555,7 +559,7 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
         # product. One-hot column c (slot s, label l of a kind) reads entry
         # base[c] + x[s] * stride[c] for a chain state x laid out as the
         # three kinds side by side; unobserved columns read the 0.
-        logs, indicators, base, stride, slot = [], [], [], [], []
+        logs, indicators, base, stride, slot, top = [], [], [], [], [], []
         offset = first_slot = 0
         for s, u in zip(scheds, labels):
             clean = s.qbar[:, :, : s.k + 1].reshape(schedule.T + 1, -1)
@@ -566,12 +570,14 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
             base.append(np.tile(offset + np.arange(width), n))
             stride.append(np.full(n * width, width))
             slot.append(np.repeat(first_slot + np.arange(n), width))
+            top.append(np.full(n, s.k + 1))
             offset += clean.shape[1]
             first_slot += n
         pad = [np.zeros((schedule.T + 1, 1))]
         self._flat_log = np.concatenate(logs + pad, axis=1)
         self._flat_impossible = np.concatenate(indicators + pad, axis=1)
-        self._base, self._stride, self._slot = (np.concatenate(a) for a in (base, stride, slot))
+        self._base, self._stride, self._slot, self._top = (
+            np.concatenate(a) for a in (base, stride, slot, top))
         self._filter_cache: dict[Instruction, np.ndarray] = {}
 
     @property
@@ -611,8 +617,8 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
         """(B, n_unique) log q(observed state | clean graph) at step t.
 
         ``observe`` optionally restricts which slots contribute, as boolean
-        arrays shaped like the states; excluded slots add nothing. States
-        must lie in their kind's alphabet, 0..k + 1; this is not checked.
+        arrays shaped like the states; excluded slots add nothing. A state
+        label outside its kind's alphabet 0..k + 1 raises IndexError.
 
         A chain's entries of log Qbar_t over clean labels, one per one-hot
         column, make one row whose product with a graph's one-hots sums the
@@ -636,7 +642,10 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
         ll = np.empty((batch, n_unique), dtype=np.float64)
         for lo in range(0, batch, chunk):
             rows = slice(lo, lo + chunk)
-            idx = np.concatenate([x[rows] for x in states], axis=1)[:, self._slot]
+            raw = np.concatenate([x[rows] for x in states], axis=1)
+            if raw.min() < 0 or (raw > self._top).any():
+                raise IndexError("a state label lies outside its kind's alphabet")
+            idx = raw[:, self._slot]
             idx *= self._stride
             idx += self._base
             if observe is not None:
@@ -817,25 +826,14 @@ def _reverse_step_kind(states: np.ndarray, px0: np.ndarray, schedule: MaskSchedu
     if not free.size:
         return states
     M = posterior_mixture_tensor(schedule, t)
-    flat = states.reshape(-1)[free]
-    p0 = px0.reshape(-1, px0.shape[-1])[free]
-    if (flat == flat[0]).all():
-        probs = p0 @ M[flat[0]]
-    else:
-        probs = np.empty((free.size, schedule.n_states), dtype=np.float64)
-        for value in np.unique(flat):
-            rows = flat == value
-            probs[rows] = p0[rows] @ M[value]
-    cdf = probs.cumsum(axis=1)
-    totals = cdf[:, -1]
-    if totals.min() <= 0.0:
-        raise ValueError("reverse step produced an impossible state")
-    u = rng.random(free.size) * totals
-    drawn = (cdf < u[:, None]).sum(axis=1)
-    if free.size == states.size:
-        return drawn.reshape(states.shape)
     out = states.reshape(-1).copy()
-    out[free] = drawn
+    flat = out[free]
+    p0 = px0.reshape(-1, px0.shape[-1])[free]
+    probs = np.empty((free.size, schedule.n_states), dtype=np.float64)
+    for value in np.unique(flat):
+        rows = flat == value
+        probs[rows] = p0[rows] @ M[value]
+    out[free] = _sample_rows(probs, rng, "reverse step produced an impossible state")
     return out.reshape(states.shape)
 
 

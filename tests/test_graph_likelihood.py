@@ -169,6 +169,24 @@ def test_one_chain_edit_likelihood_matches_the_gather(random_bundle, denoisers, 
     _assert_agrees(np.concatenate(got), np.concatenate(want))
 
 
+@pytest.mark.parametrize("kind", range(3))
+@pytest.mark.parametrize("label", ["below", "above"])
+def test_out_of_alphabet_label_raises(random_bundle, denoisers, kind, label):
+    # A label just past a kind's alphabet would index the next kind's
+    # table, and a negative one the previous kind's; both must raise, also
+    # on an unobserved slot.
+    den = denoisers["independent-mask"]
+    kinds = (den.schedule.category, den.schedule.code, den.schedule.relation)
+    g = random_bundle.graphs[0]
+    states = [x.reshape(1, -1).copy() for x in (g.categories, g.codes, g.relations)]
+    states[kind][0, -1] = -1 if label == "below" else kinds[kind].k + 2
+    observe = tuple(np.ones(x.shape, dtype=bool) for x in states)
+    observe[kind][0, -1] = False
+    for obs in (None, observe):
+        with pytest.raises(IndexError):
+            den.log_likelihood(*states, 5, obs)
+
+
 @pytest.mark.parametrize("budget", [1, 40_000])
 def test_small_chunks_match_the_gather(random_bundle, denoisers, monkeypatch, budget):
     # On this bundle a budget of one byte gives one chain per chunk, and

@@ -3,8 +3,8 @@
 ``posterior_mixture_tensor`` memoizes one read-only tensor per schedule and
 t; the oracle is the posterior formula written out entry by entry. The
 reverse step of one variable kind takes its free entries precomputed and
-makes one product when they share a value; the oracle is the step it
-replaced, a loop over the distinct values followed by ``_sample_rows``.
+skips a kind with none; the oracle is the step it replaced, which found the
+free entries from the frozen mask on every call.
 """
 from __future__ import annotations
 
