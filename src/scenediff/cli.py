@@ -96,7 +96,9 @@ _sampling_options = _options(
     click.option("--leak", type=click.FloatRange(min=0), default=0.01, show_default=True,
                  help="Uniform label leak of the masking kernels."),
     click.option("--guidance-scale", type=click.FloatRange(min=0), default=0.0,
-                 show_default=True, help="Classifier-free guidance strength."),
+                 show_default=True,
+                 help="Classifier-free guidance strength; leaves the exact graph "
+                      "denoiser's samples unchanged (see README)."),
     click.option("--seed", type=click.IntRange(min=0), default=None,
                  help=f"RNG seed; falls back to ${ENV_SEED}, then 0."),
 )

@@ -66,8 +66,9 @@ class MaskSchedule:
         qbar: (T + 1, k + 2, k + 2) cumulative products, qbar[0] = identity.
         freeze_empty: when True the empty state never corrupts.
 
-    posterior_mixture_tensor memoizes its per-t tensors on the schedule, one
-    read-only array per t, built the first time a t is asked for.
+    posterior_mixture_tensor and the joint reverse step's cumulative table
+    memoize their per-t arrays on the schedule, one read-only array per t,
+    built the first time a t is asked for.
     """
 
     k: int
@@ -79,6 +80,7 @@ class MaskSchedule:
     qbar: np.ndarray
     freeze_empty: bool = False
     _mixtures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _mixture_cdfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kernel not in KERNELS:
@@ -364,11 +366,16 @@ def _sample_rows(probs: np.ndarray, rng: np.random.Generator,
 
     Raises ValueError with ``error`` when a row has no mass.
     """
-    cdf = np.cumsum(probs, axis=1)
+    return _sample_cdf(np.cumsum(probs, axis=1), rng, error)
+
+
+def _sample_cdf(cdf: np.ndarray, rng: np.random.Generator,
+                error: str = "a sampling row has zero total mass") -> np.ndarray:
+    """_sample_rows on the rows' cumulative sums, (rows, states)."""
     totals = cdf[:, -1]
     if (totals <= 0.0).any():
         raise ValueError(error)
-    u = rng.random(probs.shape[0]) * totals
+    u = rng.random(cdf.shape[0]) * totals
     return (cdf < u[:, None]).sum(axis=1).astype(np.int64)
 
 
@@ -399,8 +406,12 @@ def posterior_mixture_tensor(schedule: MaskSchedule, t: int) -> np.ndarray:
     Built once per schedule and t, then returned read-only from the
     schedule's memo."""
     out = schedule._mixtures.get(t)
-    if out is not None:
-        return out
+    if out is None:
+        out = schedule._mixtures[t] = _build_mixture(schedule, t)
+    return out
+
+
+def _build_mixture(schedule: MaskSchedule, t: int) -> np.ndarray:
     if not 1 <= t <= schedule.T:
         raise ValueError(f"t={t} outside [1, {schedule.T}]")
     m = schedule.n_states
@@ -411,7 +422,19 @@ def posterior_mixture_tensor(schedule: MaskSchedule, t: int) -> np.ndarray:
     ok = denom > 0.0
     out[ok] = num[ok] / denom[ok][:, None]
     out.flags.writeable = False
-    schedule._mixtures[t] = out
+    return out
+
+
+def _mixture_cdf(schedule: MaskSchedule, t: int) -> np.ndarray:
+    """(n_states * (k + 1), n_states) table whose row x_t * (k + 1) + x_0
+    holds the cumulative sums of posterior_mixture_tensor(schedule, t)[x_t, x_0].
+
+    Built once per schedule and t, without memoizing the tensor itself."""
+    out = schedule._mixture_cdfs.get(t)
+    if out is None:
+        out = np.cumsum(_build_mixture(schedule, t), axis=-1).reshape(-1, schedule.n_states)
+        out.flags.writeable = False
+        schedule._mixture_cdfs[t] = out
     return out
 
 
@@ -492,7 +515,7 @@ class GraphDenoiser:
     read the state shapes from them.
     """
 
-    def predict_arrays(self, cat, code_flat, rel, filters, t: int, observe=None):
+    def predict_arrays(self, cat, code_flat, rel, filters, t: int, observe=None, rng=None):
         """Batched prediction on raw state arrays; mask never receives mass.
 
         cat: (B, n) labels, code_flat: (B, n * n_f), rel: (B, P). ``filters``
@@ -502,6 +525,12 @@ class GraphDenoiser:
         of boolean arrays shaped like the state arrays; clamped slots are
         excluded there because their values are not forward samples. Returns
         (pc (B, n, k_c + 1), pf (B, n * n_f, k_f + 1), pe (B, P, k_e + 1)).
+
+        With ``rng`` given, a denoiser over a finite hypothesis set instead
+        draws one hypothesis per chain from its posterior weights and returns
+        that hypothesis's clean labels, (B, n), (B, n * n_f) and (B, P): one
+        draw from the joint clean-graph posterior rather than its per-slot
+        marginals. Only EmpiricalGraphDenoiser offers this form.
         """
         raise NotImplementedError
 
@@ -512,8 +541,9 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
     The weight of dataset graph G_i given an observed state is its prior
     frequency times the product over all slots of the forward marginal
     Qbar_t[observed | clean], restricted by the instruction filter. The
-    prediction is the per-slot marginal of the weighted dataset; mask states
-    never receive mass because clean graphs contain none.
+    prediction is the per-slot marginal of the weighted dataset, or with an
+    ``rng`` one dataset graph drawn from the weights; mask states never
+    receive mass because clean graphs contain none.
     """
 
     def __init__(self, dataset, schedule: GraphSchedule):
@@ -713,9 +743,12 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
             )
         return both
 
-    def predict_arrays(self, cat, code_flat, rel, filters, t: int, observe=None):
+    def predict_arrays(self, cat, code_flat, rel, filters, t: int, observe=None, rng=None):
         filt = self._resolve_filters(filters, cat.shape[0])
         w = self.posterior_weights(cat, code_flat, rel, filt, t, observe)
+        if rng is not None:
+            u = _sample_rows(w, rng)
+            return self._ucat[u], self._ucode[u], self._urel[u]
         return tuple((w @ self._onehot[:, cols]).reshape(x.shape + (-1,))
                      for cols, x in zip(self._columns, (cat, code_flat, rel)))
 
@@ -837,6 +870,25 @@ def _reverse_step_kind(states: np.ndarray, px0: np.ndarray, schedule: MaskSchedu
     return out.reshape(states.shape)
 
 
+def _joint_step_kind(states: np.ndarray, x0: np.ndarray, schedule: MaskSchedule,
+                     t: int, rng: np.random.Generator, free: np.ndarray) -> np.ndarray:
+    """Advance one kind's state matrix from time t to t - 1 given one clean
+    hypothesis per chain, ``x0`` shaped like ``states``.
+
+    Each entry at the flat indices ``free`` draws from
+    q(x_{t-1} | x_t, x_0 = its hypothesis label); frozen entries pass through
+    and a kind with no free entry draws nothing. The hypothesis was drawn
+    from weights that vanish unless every observed slot's pair is possible,
+    so no drawn row is empty.
+    """
+    if not free.size:
+        return states
+    out = states.reshape(-1).copy()
+    rows = out[free] * (schedule.k + 1) + x0.reshape(-1)[free]
+    out[free] = _sample_cdf(np.take(_mixture_cdf(schedule, t), rows, axis=0), rng)
+    return out.reshape(states.shape)
+
+
 def reverse_sample_batch(denoiser: GraphDenoiser, schedule: GraphSchedule,
                          n_chains: int, rng: np.random.Generator, *,
                          instructions=None,
@@ -846,10 +898,24 @@ def reverse_sample_batch(denoiser: GraphDenoiser, schedule: GraphSchedule,
 
     Masking kernels start from the all-mask state; uniform-structure kernels
     start from their near-uniform terminal. ``instructions`` is one
-    instruction shared by every chain; guidance with a positive scale mixes
-    in a second, unconditional prediction. ``frozen`` clamps chosen slots to
+    instruction shared by every chain. ``frozen`` clamps chosen slots to
     clean values at every step, which is how completion, rearrangement, and
     stylization condition on partial scenes.
+
+    With an EmpiricalGraphDenoiser each step is the exact joint reverse
+    conditional: ``predict_arrays(..., rng=rng)`` draws one dataset graph per
+    chain from the posterior weights, and every free slot then draws from
+    q(x_{t-1} | x_t, x_0 = that graph's label). The drawn graph stays
+    consistent with the new state, so no chain loses all its hypotheses, and
+    the terminal graphs are dataset graphs drawn from the filtered prior.
+    Guidance leaves this step unchanged: the conditional weights are the
+    unconditional (frozen-filtered) weights restricted to the instruction's
+    hypotheses and renormalized, and apply_cfg on such a pair returns the
+    conditional weights for every scale, so no unconditional pass is made.
+
+    Any other denoiser takes the factorized step: each free slot draws from
+    its own per-slot mixture of posteriors, and guidance with a positive
+    scale mixes in a second, unconditional prediction.
     """
     if n_chains < 1:
         raise ValueError("need at least one chain")
@@ -878,23 +944,26 @@ def reverse_sample_batch(denoiser: GraphDenoiser, schedule: GraphSchedule,
         uncond_filters = base
     free_cat, free_code, free_rel = (np.flatnonzero(~m.reshape(-1)) for m in (fcm, ffm, frm))
 
+    joint = isinstance(denoiser, EmpiricalGraphDenoiser)
+    draw, step = ({"rng": rng}, _joint_step_kind) if joint else ({}, _reverse_step_kind)
     for t in range(schedule.T, 0, -1):
-        pc, pf, pe = denoiser.predict_arrays(cat, code, rel, cond_filters, t, observe)
-        if guidance.scale > 0.0 and instructions is not None:
-            uc, uf, ue = denoiser.predict_arrays(cat, code, rel, uncond_filters, t, observe)
-            pc = apply_cfg(pc, uc, guidance.scale)
-            pf = apply_cfg(pf, uf, guidance.scale)
-            pe = apply_cfg(pe, ue, guidance.scale)
-        for p, k in ((pc, k_c), (pf, k_f), (pe, k_e)):
-            if p.shape[-1] != k + 1:
-                raise ValueError("denoiser must predict real labels plus empty, never mask")
-        # np.allclose(sums, 1, atol=1e-9) over all three kinds at once.
-        sums = np.concatenate([p.sum(axis=-1) for p in (pc, pf, pe)], axis=None)
-        if not (np.abs(sums - 1.0) <= 1e-9 + 1e-5).all():
-            raise ValueError("denoiser prediction is not normalized")
-        cat = _reverse_step_kind(cat, pc, schedule.category, t, rng, free_cat)
-        code = _reverse_step_kind(code, pf, schedule.code, t, rng, free_code)
-        rel = _reverse_step_kind(rel, pe, schedule.relation, t, rng, free_rel)
+        pc, pf, pe = denoiser.predict_arrays(cat, code, rel, cond_filters, t, observe, **draw)
+        if not joint:
+            if guidance.scale > 0.0 and instructions is not None:
+                uc, uf, ue = denoiser.predict_arrays(cat, code, rel, uncond_filters, t, observe)
+                pc = apply_cfg(pc, uc, guidance.scale)
+                pf = apply_cfg(pf, uf, guidance.scale)
+                pe = apply_cfg(pe, ue, guidance.scale)
+            for p, k in ((pc, k_c), (pf, k_f), (pe, k_e)):
+                if p.shape[-1] != k + 1:
+                    raise ValueError("denoiser must predict real labels plus empty, never mask")
+            # np.allclose(sums, 1, atol=1e-9) over all three kinds at once.
+            sums = np.concatenate([p.sum(axis=-1) for p in (pc, pf, pe)], axis=None)
+            if not (np.abs(sums - 1.0) <= 1e-9 + 1e-5).all():
+                raise ValueError("denoiser prediction is not normalized")
+        cat = step(cat, pc, schedule.category, t, rng, free_cat)
+        code = step(code, pf, schedule.code, t, rng, free_code)
+        rel = step(rel, pe, schedule.relation, t, rng, free_rel)
 
     out = []
     for b in range(n_chains):

@@ -1,0 +1,205 @@
+"""The exact graph denoiser's joint reverse step.
+
+With an EmpiricalGraphDenoiser, ``reverse_sample_batch`` draws one dataset
+graph per chain from the posterior weights at every step and moves each free
+slot by the exact posterior q(x_{t-1} | x_t, x_0) given that graph. A chain's
+state then stays consistent with the graph it drew, so no chain loses every
+hypothesis, and the chain ends on a dataset graph. The oracles are the
+filtered dataset prior, counted directly from the bundle's graphs, and the
+algebra of guidance on nested filters.
+"""
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from scenediff import graph_diffusion as gd
+from scenediff.config import SceneConfig
+from scenediff.datagen import generate_dataset
+from scenediff.evaluation import tv_distance
+from scenediff.graph_diffusion import (
+    KERNELS,
+    EmpiricalGraphDenoiser,
+    FrozenGraph,
+    apply_cfg,
+    build_graph_schedule,
+    corrupt_graph,
+    posterior_mixture_tensor,
+    reverse_sample_batch,
+)
+from scenediff.instructions import instruction_matches
+
+T = 25
+
+# The CLI's random family (scenediff make-dataset --family random).
+RANDOM_CONFIG = SceneConfig(
+    category_names=("table", "chair", "lamp", "shelf", "sofa", "desk"),
+    k_f=3, n_f=4, n_max=6, d=16, style_names=("oak", "walnut", "steel"),
+)
+
+
+def _frozen_holds(graph, frozen) -> bool:
+    return bool(
+        (graph.categories == frozen.cat_values)[frozen.cat_mask].all()
+        and (graph.codes == frozen.code_values)[frozen.code_mask].all()
+        and (graph.relations == frozen.rel_values)[frozen.rel_mask].all())
+
+
+def _condition(bundle, case):
+    """Sampler keywords for a case, and the dataset graphs it keeps."""
+    if case == "instruction":
+        instr = bundle.instructions[2 % len(bundle.instructions)]
+        return {"instructions": instr}, lambda g: instruction_matches(g, instr)
+    if case == "frozen":
+        # The first two slots' categories and their relation: on the toy
+        # bundle this keeps four of the eight distinct graphs.
+        frozen = FrozenGraph.from_graph(bundle.graphs[0], freeze_categories=True,
+                                        freeze_relations=True, slots=[0, 1])
+        return {"frozen": frozen}, lambda g: _frozen_holds(g, frozen)
+    return {}, lambda g: True
+
+
+@pytest.fixture(scope="module")
+def random_bundles():
+    """The CLI's default random bundle (seed 0, 50 scenes, 49 distinct
+    graphs) and the benchmark's (seed 1, 1000 scenes, 958)."""
+    return {(seed, n): generate_dataset(RANDOM_CONFIG, n, seed=seed)
+            for seed, n in ((0, 50), (1, 1000))}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("source", [(0, 50), (1, 1000)])
+def test_random_family_chains_end_on_dataset_graphs(random_bundles, source, kernel):
+    # The factorized step drew each slot from its own marginal, which can
+    # mix slots of different dataset graphs. On these bundles at least one
+    # of the three conditions below then raised SupportError or returned a
+    # graph outside the dataset, under every kernel.
+    bundle = random_bundles[source]
+    sched = build_graph_schedule(bundle.config, T, kernel)
+    den = EmpiricalGraphDenoiser(bundle.graphs, sched)
+    keys = {g.key() for g in den.graphs}
+    for i, case in enumerate(("unconditional", "instruction", "frozen")):
+        kwargs, keep = _condition(bundle, case)
+        graphs = reverse_sample_batch(den, sched, 1000, np.random.default_rng([i, *source]),
+                                      **kwargs)
+        assert len(graphs) == 1000
+        assert all(g.key() in keys and keep(g) for g in graphs), case
+
+
+@pytest.mark.parametrize("case", ["unconditional", "instruction", "frozen"])
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_terminal_law_is_the_filtered_dataset_prior(toy, kernel, case):
+    sched = build_graph_schedule(toy.config, T, kernel)
+    den = EmpiricalGraphDenoiser(toy.graphs, sched)
+    kwargs, keep = _condition(toy, case)
+    kept = Counter(g.key() for g in toy.graphs if keep(g))
+    assert 1 < len(kept) < den.n_unique or case == "unconditional"
+    target = {k: c / sum(kept.values()) for k, c in kept.items()}
+    n = 4000
+    graphs = reverse_sample_batch(den, sched, n, np.random.default_rng(KERNELS.index(kernel)),
+                                  **kwargs)
+    drawn = Counter(g.key() for g in graphs)
+    assert sum(c for k, c in drawn.items() if k not in target) == 0
+    # Sampling noise alone gives a TV of about 0.015 here (8 graphs, 4000
+    # draws); the uniform-structure kernels start from their near-uniform
+    # terminal rather than the exact one, which adds little at T = 25.
+    assert tv_distance(target, {k: c / n for k, c in drawn.items()}) <= 0.05
+
+
+def _corrupted_states(den, sources, t, rng, batch):
+    graphs = [corrupt_graph(sources[i % len(sources)], t, den.schedule, rng)
+              for i in range(batch)]
+    return (np.stack([g.categories for g in graphs]),
+            np.stack([g.codes.reshape(-1) for g in graphs]),
+            np.stack([g.relations for g in graphs]))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_guidance_leaves_the_exact_weights_unchanged(toy, kernel):
+    # The conditional filter is the unconditional one ANDed with the
+    # instruction's, so the conditional weights are the unconditional ones
+    # restricted and renormalized; guidance then returns them unchanged.
+    sched = build_graph_schedule(toy.config, T, kernel)
+    den = EmpiricalGraphDenoiser(toy.graphs, sched)
+    (instr_kwargs, instr_keep), (frozen_kwargs, frozen_keep) = (
+        _condition(toy, "instruction"), _condition(toy, "frozen"))
+    instr, frozen = instr_kwargs["instructions"], frozen_kwargs["frozen"]
+    sources = [g for g in den.graphs if instr_keep(g) and frozen_keep(g)]
+    assert len(sources) > 1
+    rng = np.random.default_rng(KERNELS.index(kernel))
+    batch, moved = 64, 0
+    for t in (T, T // 2, 3, 1):
+        cat, code, rel = _corrupted_states(den, sources, t, rng, batch)
+        w_u = den.posterior_weights(cat, code, rel, None, t)
+        w_c = den.posterior_weights(cat, code, rel, den.filter_vector(instr), t)
+        pairs = [(w_c, w_u)]
+        # Frozen slots hold their clean values and carry no evidence.
+        fcm, fcv, ffm, ffv, frm, frv = gd._stack_frozen(frozen, batch, den.n_slots, den.n_f)
+        cat, code, rel = np.where(fcm, fcv, cat), np.where(ffm, ffv, code), np.where(frm, frv, rel)
+        base = den.frozen_value_filter(fcm, fcv, ffm, ffv, frm, frv)
+        observe = (~fcm, ~ffm, ~frm)
+        w_u = den.posterior_weights(cat, code, rel, base, t, observe)
+        w_c = den.posterior_weights(cat, code, rel, den.combine_filters(instr, base, batch),
+                                    t, observe)
+        pairs.append((w_c, w_u))
+        for w_c, w_u in pairs:
+            moved += not np.array_equal(w_c, w_u)
+            for s in (0.5, 1.0, 3.0, 10.0):
+                assert np.abs(apply_cfg(w_c, w_u, s) - w_c).max() <= 1e-12
+    assert moved  # the instruction filter changed some weights
+
+
+def test_predict_draws_one_dataset_graph_per_chain(toy, toy_schedule):
+    den = EmpiricalGraphDenoiser(toy.graphs, toy_schedule)
+    t, batch = 12, 20000
+    rng = np.random.default_rng(5)
+    cat, code, rel = _corrupted_states(den, den.graphs[:1], t, rng, 1)
+    states = tuple(np.repeat(x, batch, axis=0) for x in (cat, code, rel))
+    w = den.posterior_weights(*states, None, t)[0]
+    assert (w > 0.0).sum() > 1
+    got = den.predict_arrays(*states, None, t, rng=rng)
+    rows = [np.concatenate([g.categories, g.codes.reshape(-1), g.relations])
+            for g in den.graphs]
+    index = {r.tobytes(): u for u, r in enumerate(rows)}
+    drawn = Counter(index[r.tobytes()] for r in np.concatenate(got, axis=1))
+    assert tv_distance(dict(enumerate(w)), {u: c / batch for u, c in drawn.items()}) <= 0.02
+
+
+def _direct_joint_step(states, x0, s, t, rng, free):
+    """The joint step as a gather of posterior rows and one _sample_rows call."""
+    out = states.reshape(-1).copy()
+    if free.size:
+        probs = posterior_mixture_tensor(s, t)[out[free], x0.reshape(-1)[free]]
+        out[free] = gd._sample_rows(probs, rng)
+    return out.reshape(states.shape)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_joint_step_reads_memoized_cumulative_posterior_rows(toy, kernel):
+    schedule = build_graph_schedule(toy.config, T, kernel)
+    den = EmpiricalGraphDenoiser(toy.graphs, schedule)
+    kinds = (schedule.category, schedule.code, schedule.relation)
+    rng = np.random.default_rng(KERNELS.index(kernel))
+    batch = 40
+    sources = [den.graphs[i % den.n_unique] for i in range(batch)]
+    clean = (np.stack([g.categories for g in sources]),
+             np.stack([g.codes.reshape(-1) for g in sources]),
+             np.stack([g.relations for g in sources]))
+    for t in (T, T // 2, 1):
+        states = _corrupted_states(den, sources, t, rng, batch)
+        for s, x_t, x0 in zip(kinds, states, clean):
+            for frozen in (np.zeros(x_t.shape, dtype=bool), rng.random(x_t.shape) < 0.4,
+                           np.ones(x_t.shape, dtype=bool)):
+                free = np.flatnonzero(~frozen.reshape(-1))
+                seed = int(rng.integers(2**32))
+                want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = _direct_joint_step(x_t, x0, s, t, want_rng, free)
+                got = gd._joint_step_kind(x_t, x0, s, t, got_rng, free)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                assert np.array_equal(got[frozen], x_t[frozen])
+            table = gd._mixture_cdf(s, t)
+            assert gd._mixture_cdf(s, t) is table and not table.flags.writeable
+    assert sorted(schedule.category._mixture_cdfs) == [1, T // 2, T]

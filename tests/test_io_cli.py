@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from scenediff import datagen
 from scenediff.cli import main
 from scenediff.evaluation import scene_satisfies
+from scenediff.graph import derive_semantic_graph, pad_graph
 from scenediff.graph_diffusion import build_graph_schedule, schedule_to_json
 from scenediff.instructions import Instruction, render_instruction
 from scenediff.relations import RelationLabel
@@ -272,16 +273,38 @@ def _assert_typed_failure(res, message):
     assert "Traceback" not in res.output
 
 
-def test_cli_dead_chain_exits_4(tmp_path):
-    # Random-family scenes hold two to four objects; under the default
-    # independent-mask kernel a chain can mix an empty category with a real
-    # code, which no dataset graph explains.
+def _dataset_graph_keys_of(scenes_path, bundle_dir):
+    bundle = load_bundle(bundle_dir)
+    keys = {g.key() for g in bundle.graphs}
+    graphs = [pad_graph(derive_semantic_graph(s, bundle.codebook, bundle.config),
+                        bundle.config.n_max) for s in load_scenes(scenes_path)]
+    return [g.key() in keys for g in graphs]
+
+
+def test_cli_random_bundle_uncond_returns_dataset_graphs(tmp_path):
+    # Random-family scenes hold two to four objects. Drawing each slot from
+    # its own marginal could mix an empty category with a real code, which
+    # no dataset graph explains, and this command exited 4; one drawn
+    # dataset graph per chain and step keeps every chain on the dataset.
     bundle = str(tmp_path / "rand")
     assert _run(["make-dataset", "--out", bundle, "--family", "random",
                  "--seed", "0"]).exit_code == 0
-    res = CliRunner().invoke(main, ["uncond", "--bundle", bundle, "--n", "5", "--seed", "0",
-                                    "--out", str(tmp_path / "u.json")])
-    _assert_typed_failure(res, "a chain state has zero likelihood under every dataset graph")
+    out = str(tmp_path / "u.json")
+    assert _run(["uncond", "--bundle", bundle, "--n", "5", "--seed", "0",
+                 "--out", out]).exit_code == 0
+    assert _dataset_graph_keys_of(out, bundle) == [True] * 5
+
+
+def test_cli_gaussian_embedding_with_identity_last_step(tmp_path, bundle_dir):
+    # From 23 graph steps on, this kernel's step at t = 1 is exactly the
+    # identity, so a chain keeps whatever graph t = 2 drew; a mixed graph
+    # then had zero likelihood and the command exited 4.
+    out = str(tmp_path / "u.json")
+    res = _run(["uncond", "--bundle", bundle_dir, "--n", "500", "--kernel",
+                "gaussian-embedding", "--graph-steps", "30", "--layout-steps", "5",
+                "--seed", "0", "--out", out])
+    assert res.exit_code == 0
+    assert len(load_scenes(out)) == 500
 
 
 def test_cli_complete_outside_support_exits_4(tmp_path, bundle_dir, toy):
