@@ -19,6 +19,7 @@ from .datagen import (
 )
 from .errors import (
     DatasetError,
+    FormatError,
     InstructionParseError,
     SceneDiffError,
     SupportError,

@@ -6,7 +6,8 @@ invocation with the same arguments produces byte-identical files. Exit codes:
 0 on success, 2 on bad arguments or unparsable instructions (click's usage
 failure), 3 when an instruction is well formed but unsatisfiable, 4 on any
 other SceneDiffError (a sampler state outside the dataset's support, a
-dataset that could not be built), reported as one ``error:`` line.
+dataset that could not be built, a malformed scene or bundle file), reported
+as one ``error:`` line.
 """
 
 from __future__ import annotations

@@ -30,5 +30,10 @@ class SupportError(SceneDiffError, ValueError):
     explain it: the exact denoiser's support is empty there."""
 
 
+class FormatError(SceneDiffError, ValueError):
+    """A scene file or a dataset bundle on disk is missing, not JSON, or
+    does not hold the records the readers expect."""
+
+
 class DatasetError(SceneDiffError, RuntimeError):
     """Dataset generation could not build a consistent bundle."""

@@ -225,19 +225,29 @@ class ExactEpsDenoiser(EpsDenoiser):
             raise ValueError("matching layouts disagree in shape")
         return np.stack(hit, axis=0)
 
-    def predict(self, L_t, t: int, graph: SemanticGraph,
+    def predict(self, L_t, t: int, graph: SemanticGraph | None,
                 modes: np.ndarray | None = None) -> np.ndarray:
-        """Noise estimate for one noisy layout (n, 8) or a stack (b, n, 8)
-        conditioned on the same graph. ``modes`` is the graph's
-        ``matching_layouts`` stack when the caller already holds it."""
+        """Noise estimate for one noisy layout (n, 8) or a stack (b, n, 8).
+
+        ``modes`` is either one (m, n, 8) candidate stack shared by every
+        layout, by default the graph's ``matching_layouts``, or a per-layout
+        stack (b, m, n, 8) whose row i is the candidate set of layout i; the
+        graph is then not read. Either way each layout gets its own weights
+        and its own (1, m) @ (m, n*8) product, so its estimate does not
+        depend on the other layouts in the call.
+        """
         L_t = np.asarray(L_t, dtype=np.float64)
         if not 1 <= t <= self.schedule.T:
             raise ValueError(f"t={t} outside [1, {self.schedule.T}]")
         if modes is None:
             modes = self.matching_layouts(graph)
-        if modes.shape[1:] != L_t.shape[-2:]:
+        if modes.shape[-2:] != L_t.shape[-2:]:
             raise ValueError("noisy layout shape disagrees with the matching set")
-        L = L_t.reshape(-1, *modes.shape[1:])
+        L = L_t.reshape(-1, *modes.shape[-2:])
+        if modes.ndim == 3:
+            modes = modes[None]
+        elif modes.shape[0] != L.shape[0]:
+            raise ValueError(f"{modes.shape[0]} candidate stacks for {L.shape[0]} layouts")
         ab = self.schedule.alpha_bar[t]
         resid = L[:, None] - math.sqrt(ab) * modes
         logw = -np.square(resid).sum(axis=(2, 3)) / (2.0 * (1.0 - ab))
@@ -246,7 +256,7 @@ class ExactEpsDenoiser(EpsDenoiser):
         w /= w.sum(axis=1, keepdims=True)
         # numpy evaluates each (1, m) @ (m, n*8) product as a vector-matrix
         # product, so a layout's estimate does not depend on the stack size.
-        post_mean = (w[:, None, :] @ modes.reshape(modes.shape[0], -1)).reshape(L.shape)
+        post_mean = (w[:, None, :] @ modes.reshape(*modes.shape[:2], -1)).reshape(L.shape)
         return ((L - math.sqrt(ab) * post_mean) / math.sqrt(1.0 - ab)).reshape(L_t.shape)
 
 
@@ -264,10 +274,11 @@ def reverse_sample_layout(denoiser: ExactEpsDenoiser, graphs, schedule: Gaussian
     sequence of B graphs, giving a (B, n_rows, 8) stack. The chains run
     together in standardized space from pure noise down to t = 1; the final
     step adds no noise because its posterior variance is zero. Chains whose
-    graphs share a key share one ``matching_layouts`` lookup and one
-    ``predict`` call per step. Noise is drawn in scene-major order, each
-    chain's start and then its noise for every noisy step, chain after
-    chain, so a batch consumes the generator exactly as B single-graph calls
+    graphs share a key share one ``matching_layouts`` lookup, and the chains
+    of a noise chunk whose keys have the same number of candidate layouts
+    share one ``predict`` call per step. Noise is drawn in scene-major
+    order, each chain's start and then its noise for every noisy step, chain
+    after chain, so a batch consumes the generator exactly as B single-graph calls
     would. Returns layouts in raw units with the rotation pair renormalized
     to unit length. frozen_rows maps row indices to raw rows clamped at
     every step in every chain; those rows come back bit-identical.
@@ -293,6 +304,9 @@ def reverse_sample_layout(denoiser: ExactEpsDenoiser, graphs, schedule: Gaussian
     group = np.array([key_ids.setdefault(g.key(), len(key_ids)) for g in batch])
     reps = [batch[i] for i in np.unique(group, return_index=True)[1]]
     modes = [denoiser.matching_layouts(g) for g in reps]
+    if any(m.shape[1:] != (n_rows, LAYOUT_DIM) for m in modes):
+        raise ValueError("noisy layout shape disagrees with the matching set")
+    count = np.array([m.shape[0] for m in modes])
 
     draws = 1 + int((schedule.posterior_var > 0.0).sum())  # start, then noisy steps
     chunk = max(1, _NOISE_CHUNK_BYTES // (draws * n_rows * LAYOUT_DIM * 8))
@@ -300,19 +314,21 @@ def reverse_sample_layout(denoiser: ExactEpsDenoiser, graphs, schedule: Gaussian
     for lo in range(0, len(batch), chunk):
         hi = min(lo + chunk, len(batch))
         noise = rng.standard_normal((hi - lo, draws, n_rows, LAYOUT_DIM))
-        # Sort the chunk's chains by key so each key is one contiguous slice.
-        order = np.argsort(group[lo:hi], kind="stable")
+        # Sort the chunk's chains by candidate count so each count is one
+        # contiguous slice, decoded against its chains' stacked candidates.
+        order = np.argsort(count[group[lo:hi]], kind="stable")
         keys = group[lo:hi][order]
-        cuts = [0, *(np.flatnonzero(np.diff(keys)) + 1), hi - lo]
-        slices = [(keys[a], slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+        cuts = [0, *(np.flatnonzero(np.diff(count[keys])) + 1), hi - lo]
+        slices = [(slice(a, b), np.stack([modes[k] for k in keys[a:b]]))
+                  for a, b in zip(cuts, cuts[1:])]
         L = noise[order, 0]
         draw = 1
         for idx, row in frozen_std.items():
             L[:, idx] = row
         for t in range(schedule.T, 0, -1):
             eps_hat = np.empty_like(L)
-            for k, sl in slices:
-                eps_hat[sl] = denoiser.predict(L[sl], t, reps[k], modes=modes[k])
+            for sl, stacks in slices:
+                eps_hat[sl] = denoiser.predict(L[sl], t, None, modes=stacks)
             beta = schedule.betas[t - 1]
             ab = schedule.alpha_bar[t]
             mean = (L - beta / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(1.0 - beta)

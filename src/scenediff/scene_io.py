@@ -4,7 +4,9 @@ Bundles live in a directory of five files (config, codebook, library,
 scenes, instructions). Graphs, layouts, and standardization statistics are
 recomputed at load time from the scenes, which keeps the stored form small
 and guarantees the loaded bundle is self-consistent. All writers sort keys
-and end with a newline, so equal inputs produce byte-identical files.
+and end with a newline, so equal inputs produce byte-identical files. The
+readers raise FormatError on a file that is not JSON or lacks a record they
+need, and on a bundle directory that lacks one of its files.
 """
 
 from __future__ import annotations
@@ -16,12 +18,15 @@ import numpy as np
 
 from .config import SceneConfig
 from .datagen import Asset, AssetLibrary, DatasetBundle, derive_graphs_and_layouts
+from .errors import FormatError, SceneDiffError
 from .instructions import Instruction, StyleConstraint
 from .quantizer import Codebook
 from .relations import RelationLabel
 from .scene import ObjectInstance, Scene
 
 BUNDLE_FORMAT = "scene-bundle-v1"
+BUNDLE_FILES = ("config.json", "codebook.json", "library.json", "scenes.json",
+                "instructions.json")
 
 
 def dump_json(payload, path: Path | str) -> None:
@@ -29,7 +34,10 @@ def dump_json(payload, path: Path | str) -> None:
 
 
 def load_json(path: Path | str):
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def object_to_dict(obj: ObjectInstance) -> dict:
@@ -53,8 +61,8 @@ def object_from_dict(data: dict) -> ObjectInstance:
             feature=np.asarray(data["feature"], dtype=np.float64),
             asset_id=data.get("asset_id"),
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed object record: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed object record: {exc}") from exc
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -63,11 +71,14 @@ def scene_to_dict(scene: Scene) -> dict:
 
 def scene_from_dict(data: dict) -> Scene:
     if not isinstance(data, dict) or "id" not in data or "objects" not in data:
-        raise ValueError("malformed scene record: need id and objects")
-    return Scene(
-        id=str(data["id"]),
-        objects=tuple(object_from_dict(o) for o in data["objects"]),
-    )
+        raise FormatError("malformed scene record: need id and objects")
+    if not isinstance(data["objects"], list):
+        raise FormatError("malformed scene record: objects must be a list")
+    objects = tuple(object_from_dict(o) for o in data["objects"])
+    try:
+        return Scene(id=str(data["id"]), objects=objects)
+    except ValueError as exc:
+        raise FormatError(f"malformed scene record: {exc}") from exc
 
 
 def save_scenes(scenes, path: Path | str, *, meta: dict | None = None) -> None:
@@ -79,8 +90,8 @@ def save_scenes(scenes, path: Path | str, *, meta: dict | None = None) -> None:
 
 def load_scenes(path: Path | str) -> list[Scene]:
     data = load_json(path)
-    if "scenes" not in data:
-        raise ValueError("scene file lacks a 'scenes' list")
+    if not isinstance(data, dict) or not isinstance(data.get("scenes"), list):
+        raise FormatError("scene file lacks a 'scenes' list")
     return [scene_from_dict(s) for s in data["scenes"]]
 
 
@@ -129,10 +140,9 @@ def config_to_dict(config: SceneConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> SceneConfig:
-    if data.get("format") != BUNDLE_FORMAT:
-        raise ValueError(
-            f"unsupported bundle format {data.get('format')!r}; expected {BUNDLE_FORMAT!r}"
-        )
+    found = data.get("format") if isinstance(data, dict) else None
+    if found != BUNDLE_FORMAT:
+        raise FormatError(f"unsupported bundle format {found!r}; expected {BUNDLE_FORMAT!r}")
     return SceneConfig(
         category_names=tuple(data["categories"]),
         k_f=int(data["k_f"]),
@@ -171,22 +181,30 @@ def save_bundle(bundle: DatasetBundle, directory: Path | str) -> None:
 
 def load_bundle(directory: Path | str) -> DatasetBundle:
     directory = Path(directory)
-    config = config_from_dict(load_json(directory / "config.json"))
-    cb = load_json(directory / "codebook.json")
-    codebook = Codebook(entries=np.asarray(cb["entries"], dtype=np.float64),
-                        n_f=int(cb["n_f"]))
-    lib = load_json(directory / "library.json")
-    library = AssetLibrary(tuple(
-        Asset(asset_id=a["asset_id"], category=int(a["category"]),
-              feature=np.asarray(a["feature"], dtype=np.float64),
-              size=tuple(float(v) for v in a["size"]))
-        for a in lib["assets"]
-    ))
-    scenes = tuple(load_scenes(directory / "scenes.json"))
-    instrs = tuple(
-        instruction_from_dict(d)
-        for d in load_json(directory / "instructions.json")["instructions"]
-    )
+    missing = [name for name in BUNDLE_FILES if not (directory / name).is_file()]
+    if missing:
+        raise FormatError(f"{directory} is not a scene bundle: missing {', '.join(missing)}")
+    try:
+        config = config_from_dict(load_json(directory / "config.json"))
+        cb = load_json(directory / "codebook.json")
+        codebook = Codebook(entries=np.asarray(cb["entries"], dtype=np.float64),
+                            n_f=int(cb["n_f"]))
+        lib = load_json(directory / "library.json")
+        library = AssetLibrary(tuple(
+            Asset(asset_id=a["asset_id"], category=int(a["category"]),
+                  feature=np.asarray(a["feature"], dtype=np.float64),
+                  size=tuple(float(v) for v in a["size"]))
+            for a in lib["assets"]
+        ))
+        scenes = tuple(load_scenes(directory / "scenes.json"))
+        instrs = tuple(
+            instruction_from_dict(d)
+            for d in load_json(directory / "instructions.json")["instructions"]
+        )
+    except SceneDiffError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed bundle in {directory}: {exc!r}") from exc
     graphs, layouts = derive_graphs_and_layouts(scenes, codebook, config)
     return DatasetBundle(
         config=config,

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from scenediff import datagen
 from scenediff.cli import main
+from scenediff.errors import FormatError, SceneDiffError
 from scenediff.evaluation import scene_satisfies
 from scenediff.graph import derive_semantic_graph, pad_graph
 from scenediff.graph_diffusion import build_graph_schedule, schedule_to_json
@@ -93,6 +94,23 @@ def test_save_load_scenes(tmp_path, toy):
     dump_json({"objects": []}, bad)
     with pytest.raises(ValueError, match="lacks a 'scenes' list"):
         load_scenes(bad)
+
+
+def test_malformed_records_and_bundles_raise_format_error(tmp_path, toy):
+    assert issubclass(FormatError, SceneDiffError) and issubclass(FormatError, ValueError)
+    with pytest.raises(FormatError, match="objects must be a list"):
+        scene_from_dict({"id": "x", "objects": 3})
+    with pytest.raises(FormatError, match="malformed scene record: a scene holds"):
+        scene_from_dict({"id": "x", "objects": []})
+    save_bundle(toy, tmp_path / "bundle")
+    config = json.loads((tmp_path / "bundle" / "config.json").read_text())
+    del config["k_f"]
+    dump_json(config, tmp_path / "bundle" / "config.json")
+    with pytest.raises(FormatError, match="malformed bundle in .*'k_f'"):
+        load_bundle(tmp_path / "bundle")
+    (tmp_path / "bundle" / "library.json").unlink()
+    with pytest.raises(FormatError, match="not a scene bundle: missing library.json$"):
+        load_bundle(tmp_path / "bundle")
 
 
 def test_instruction_roundtrip(toy):
@@ -271,6 +289,44 @@ def _assert_typed_failure(res, message):
     assert res.exit_code == 4
     assert res.stderr.splitlines() == [f"error: {message}"]
     assert "Traceback" not in res.output
+
+
+def test_cli_scene_file_without_scenes_list_exits_4(tmp_path, bundle_dir):
+    scenes_path = tmp_path / "oops.json"
+    scenes_path.write_text('{"oops": 1}')
+    res = CliRunner().invoke(main, ["complete", "--bundle", bundle_dir, "--scenes",
+                                    str(scenes_path), "--out", str(tmp_path / "x.json"), *FAST])
+    _assert_typed_failure(res, "scene file lacks a 'scenes' list")
+
+
+def test_cli_object_record_without_location_exits_4(tmp_path, bundle_dir, toy):
+    record = object_to_dict(toy.scenes[0].objects[0])
+    del record["location"]
+    scenes_path = tmp_path / "no-location.json"
+    dump_json({"scenes": [{"id": "x", "objects": [record]}]}, scenes_path)
+    res = CliRunner().invoke(main, ["complete", "--bundle", bundle_dir, "--scenes",
+                                    str(scenes_path), "--out", str(tmp_path / "x.json"), *FAST])
+    _assert_typed_failure(res, "malformed object record: 'location'")
+
+
+def test_cli_eval_on_a_non_json_scene_file_exits_4(tmp_path, bundle_dir, toy):
+    scenes_path = tmp_path / "scenes.json"
+    scenes_path.write_text("not json\n")
+    text = render_instruction(toy.instructions[0], toy.config)
+    res = CliRunner().invoke(main, ["eval", "--bundle", bundle_dir, "--scenes", str(scenes_path),
+                                    "--instruction", text])
+    _assert_typed_failure(
+        res, f"{scenes_path} is not valid JSON: Expecting value: line 1 column 1 (char 0)")
+
+
+def test_cli_uncond_on_an_empty_bundle_directory_exits_4(tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    res = CliRunner().invoke(main, ["uncond", "--bundle", str(empty),
+                                    "--out", str(tmp_path / "u.json"), *FAST])
+    _assert_typed_failure(
+        res, f"{empty} is not a scene bundle: missing config.json, codebook.json, "
+             "library.json, scenes.json, instructions.json")
 
 
 def _dataset_graph_keys_of(scenes_path, bundle_dir):

@@ -329,6 +329,22 @@ def test_stacked_prediction_equals_one_layout_at_a_time(toy, sched, rng):
         den.predict(np.zeros((5, 3, 8)), 1, g)
 
 
+def test_per_layout_prediction_equals_one_graph_at_a_time(toy, sched, rng):
+    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
+    # Keys 4 and 7 both match three dataset layouts; 10 and 12 match two.
+    for picks in ((4, 7, 4, 7, 7), (10, 12, 10)):
+        graphs = [toy.graphs[i] for i in picks]
+        stacks = np.stack([den.matching_layouts(g) for g in graphs])
+        layouts = rng.normal(size=(len(graphs), 4, 8))
+        for t in (1, 4, 10):
+            want = np.stack([den.predict(L, t, g) for L, g in zip(layouts, graphs)])
+            assert np.array_equal(den.predict(layouts, t, None, modes=stacks), want)
+        with pytest.raises(ValueError, match="candidate stacks for"):
+            den.predict(layouts[1:], 1, None, modes=stacks)
+    with pytest.raises(ValueError, match="candidate stacks for"):
+        den.predict(layouts[0], 1, None, modes=stacks)
+
+
 def _mixed_key_batch(toy, size):
     """Graphs under four match keys, interleaved: two exact keys, a
     code-free fallback and a multiset fallback."""
@@ -357,6 +373,54 @@ def test_batch_equals_single_graph_calls(toy, sched, monkeypatch, chains_per_chu
     assert out.shape == (len(graphs), 4, 8)
     assert np.array_equal(out, want)
     assert rng_batch.bit_generator.state == rng_single.bit_generator.state
+
+
+def _shared_count_batch(toy, size):
+    """Graphs under five match keys and two candidate counts, interleaved:
+    keys 4 and 7 match three layouts each, keys 10, 12 and 14 two each."""
+    pattern = (10, 4, 12, 7, 14, 4, 10, 7, 12)
+    return [toy.graphs[pattern[i % len(pattern)]] for i in range(size)]
+
+
+@pytest.mark.parametrize("chains_per_chunk", [4, None])
+def test_shared_count_batch_equals_single_graph_calls(toy, sched, monkeypatch,
+                                                      chains_per_chunk):
+    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
+    per_chain = sched.T * 4 * 8 * 8
+    if chains_per_chunk is not None:
+        monkeypatch.setattr(layout_diffusion, "_NOISE_CHUNK_BYTES", chains_per_chunk * per_chain)
+    graphs = _shared_count_batch(toy, 23)
+    keep = {1: np.asarray(toy.layouts[4][1]) + 0.5}
+    rng_batch, rng_single = np.random.default_rng(21), np.random.default_rng(21)
+    out = reverse_sample_layout(den, graphs, sched, rng_batch, frozen_rows=keep)
+    want = [reverse_sample_layout(den, g, sched, rng_single, frozen_rows=keep) for g in graphs]
+    assert np.array_equal(out, np.stack(want))
+    assert rng_batch.bit_generator.state == rng_single.bit_generator.state
+
+
+def test_one_predict_call_per_candidate_count_chunk_and_step(toy, sched, monkeypatch):
+    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
+    chains_per_chunk = 4
+    monkeypatch.setattr(layout_diffusion, "_NOISE_CHUNK_BYTES",
+                        chains_per_chunk * sched.T * 4 * 8 * 8)
+    graphs = _shared_count_batch(toy, 10)
+    counts = [den.matching_layouts(g).shape[0] for g in graphs]
+    assert len({g.key() for g in graphs}) >= 3 and len(set(counts)) == 2
+    # Wrapped on the instance, the way a tracer sees the sampler's calls.
+    calls = []
+    predict = den.predict
+
+    def counted(L_t, t, *args, **kwargs):
+        calls.append((t, L_t.shape[0]))
+        return predict(L_t, t, *args, **kwargs)
+
+    den.predict = counted
+    reverse_sample_layout(den, graphs, sched, np.random.default_rng(0))
+    per_step = sum(len(set(counts[lo:lo + chains_per_chunk]))
+                   for lo in range(0, len(graphs), chains_per_chunk))
+    assert per_step == 5  # chunks of 4, 4 and 2 chains hold 2, 2 and 1 counts
+    assert len(calls) == per_step * sched.T
+    assert sum(b for _, b in calls) == len(graphs) * sched.T
 
 
 def test_frozen_rows_bit_identical_across_a_batch(toy, sched):
