@@ -23,6 +23,7 @@ from .errors import (
     InstructionParseError,
     SceneDiffError,
     SupportError,
+    UnknownStyleError,
     UnsatisfiableInstructionError,
     VocabularyError,
 )

@@ -23,12 +23,14 @@ import numpy as np
 from .datagen import generate_dataset, toy_support
 from .config import SceneConfig
 from .errors import (
+    FormatError,
     InstructionParseError,
     SceneDiffError,
     UnsatisfiableInstructionError,
     VocabularyError,
 )
 from .evaluation import evaluate_scenes
+from .graph import check_scenes_fit
 from .graph_diffusion import KERNELS, KERNEL_INDEPENDENT, GuidanceConfig, schedule_to_json
 from .instructions import parse_instruction
 from .pipeline import GenerationConfig, ScenePipeline
@@ -122,10 +124,15 @@ def _sample(draw, *, bundle_dir, out, graph_steps, layout_steps, kernel, leak,
     click.echo(f"wrote {what or f'{len(scenes)} scenes'} to {out}")
 
 
-def _pick_scene(path: str, index: int):
+def _pick_scene(path: str, index: int, config: SceneConfig):
+    """Scene ``index`` of a scene file; FormatError unless it fits ``config``."""
     scenes = load_scenes(path)
     if not 0 <= index < len(scenes):
         raise click.UsageError(f"scene index {index} outside 0..{len(scenes) - 1}")
+    try:
+        check_scenes_fit([scenes[index]], config)
+    except ValueError as exc:
+        raise FormatError(f"{path}: scene {index} does not fit the bundle: {exc}") from exc
     return scenes[index]
 
 
@@ -188,8 +195,8 @@ def uncond(n, **opts):
 @_guarded
 def complete(scenes_path, index, instruction, **opts):
     """Extend a partial scene; existing objects are kept bit-identical."""
-    _sample(lambda pipe, rng: [pipe.complete(_pick_scene(scenes_path, index), instruction,
-                                             rng=rng)],
+    _sample(lambda pipe, rng: [pipe.complete(_pick_scene(scenes_path, index, pipe.config),
+                                             instruction, rng=rng)],
             what="completed scene", instruction=instruction, **opts)
 
 
@@ -200,8 +207,8 @@ def complete(scenes_path, index, instruction, **opts):
 @_guarded
 def rearrange(scenes_path, index, instruction, **opts):
     """Re-place the scene's objects; identities and sizes are preserved."""
-    _sample(lambda pipe, rng: [pipe.rearrange(_pick_scene(scenes_path, index), instruction,
-                                              rng=rng)],
+    _sample(lambda pipe, rng: [pipe.rearrange(_pick_scene(scenes_path, index, pipe.config),
+                                              instruction, rng=rng)],
             what="rearranged scene", instruction=instruction, **opts)
 
 
@@ -212,7 +219,8 @@ def rearrange(scenes_path, index, instruction, **opts):
 @_guarded
 def stylize(scenes_path, index, style, **opts):
     """Restyle the scene's objects; geometry is preserved."""
-    _sample(lambda pipe, rng: [pipe.stylize(_pick_scene(scenes_path, index), style, rng=rng)],
+    _sample(lambda pipe, rng: [pipe.stylize(_pick_scene(scenes_path, index, pipe.config),
+                                            style, rng=rng)],
             what="stylized scene", style=style, **opts)
 
 
@@ -243,7 +251,7 @@ def eval_cmd(bundle_dir, scenes_path, instruction, out):
 def render_svg_cmd(bundle_dir, scenes_path, index, out):
     """Render one saved scene to a top-down SVG."""
     bundle = load_bundle(Path(bundle_dir))
-    scene = _pick_scene(scenes_path, index)
+    scene = _pick_scene(scenes_path, index, bundle.config)
     Path(out).write_text(render_svg(scene, bundle.config))
     click.echo(f"wrote {out}")
 

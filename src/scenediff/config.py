@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .errors import UnknownStyleError
+
 N_RELATION_LABELS = 11
 
 
@@ -70,7 +72,7 @@ class SceneConfig:
 
     def style_signature(self, name: str) -> tuple[int, ...]:
         if name not in self.style_names:
-            raise KeyError(f"unknown style {name!r}")
+            raise UnknownStyleError(f"unknown style {name!r}")
         if not self.style_codes:
             raise KeyError("style signatures not fitted yet")
         return self.style_codes[self.style_names.index(name)]

@@ -18,14 +18,14 @@ import numpy as np
 
 from .config import SceneConfig
 from .errors import DatasetError
-from .graph import SemanticGraph, canonicalize_scene, derive_semantic_graph, pad_graph
+from .graph import SemanticGraph, canonicalize_scene, derive_graph_arrays
 from .instructions import Instruction, StyleConstraint
 from .quantizer import Codebook, fit_codebook
-from .relations import RelationLabel, pair_slots
-from .scene import LAYOUT_DIM, ObjectInstance, Scene, scene_to_layout
+from .relations import RelationLabel, n_pairs, pair_slots
+from .scene import LAYOUT_DIM, PAD_ROW, ObjectInstance, Scene, layout_rows, value_eq
 
-# Padding rows carry a unit rotation so every row decodes to a valid pose.
-PAD_ROW = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+# Bound on the temporaries of derive_graphs_and_layouts, per chunk of scenes.
+_DERIVE_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,11 @@ class Asset:
     size: tuple[float, float, float]
 
     def __post_init__(self):
-        feat = np.asarray(self.feature, dtype=np.float64).copy()
+        feat = np.array(self.feature, dtype=np.float64)
         feat.flags.writeable = False
         object.__setattr__(self, "feature", feat)
+
+    __eq__ = value_eq
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,8 @@ class AssetLibrary:
             table = {}
             for category in sorted({a.category for a in self.assets}):
                 assets = tuple(self.of_category(category))
-                table[category] = (assets, np.stack([codebook.encode(a.feature)
-                                                     for a in assets]))
+                table[category] = (assets,
+                                   codebook.encode(np.stack([a.feature for a in assets])))
             self._encoded[key] = table
         return table
 
@@ -126,11 +128,35 @@ def pad_layout(layout: np.ndarray, n_max: int) -> np.ndarray:
 def derive_graphs_and_layouts(scenes, codebook: Codebook, config: SceneConfig):
     """Padded semantic graphs and padded layouts of a scene family, as a
     bundle stores them: ``(graphs, layouts)`` with layouts shaped
-    (n_scenes, n_max, LAYOUT_DIM)."""
-    graphs = tuple(pad_graph(derive_semantic_graph(s, codebook, config), config.n_max)
-                   for s in scenes)
-    layouts = np.stack([pad_layout(scene_to_layout(s), config.n_max) for s in scenes])
-    return graphs, layouts
+    (n_scenes, n_max, LAYOUT_DIM).
+
+    Scenes go in chunks whose temporaries stay within _DERIVE_CHUNK_BYTES.
+    Per chunk, derive_graph_arrays writes the padded labels at n_max slots,
+    each graph is built once from its rows, and the layout rows of the real
+    slots (those with a real category) are written over PAD_ROW. Raises
+    ValueError when there are no scenes or a scene does not fit ``config``.
+    """
+    scenes = tuple(scenes)
+    if not scenes:
+        raise ValueError("need at least one scene")
+    n = config.n_max
+    # Per object: its feature, room for two of the encoder's (k_f, d)
+    # distance arrays, its layout row and list entries; per scene: its
+    # padded labels.
+    per_scene = 8 * (n * (config.d * (1 + 2 * config.k_f) + LAYOUT_DIM + 32)
+                     + n * (1 + config.n_f) + n_pairs(n))
+    chunk = max(1, _DERIVE_CHUNK_BYTES // per_scene)
+    graphs = []
+    layouts = np.empty((len(scenes), n, LAYOUT_DIM), dtype=np.float64)
+    layouts[:] = PAD_ROW
+    for lo in range(0, len(scenes), chunk):
+        part = scenes[lo:lo + chunk]
+        cats, codes, rels = derive_graph_arrays(part, codebook, config, n)
+        graphs += [SemanticGraph(c, f, r, k_c=config.k_c, k_f=config.k_f, k_e=config.k_e)
+                   for c, f, r in zip(cats, codes, rels)]
+        layouts[lo:lo + chunk][cats < config.k_c] = layout_rows(
+            o for s in part for o in s.objects)
+    return tuple(graphs), layouts
 
 
 # Quadrant centers for deliberate horizontal placement, in the order
@@ -189,7 +215,7 @@ def _fit_style_codebook(config: SceneConfig, centroids: np.ndarray,
     """
     for start in [seed, *np.random.SeedSequence(seed).spawn(_CODEBOOK_RETRIES)]:
         codebook = fit_codebook(features, config.k_f, config.n_f, seed=start)
-        signatures = [tuple(int(v) for v in codebook.encode(c)) for c in centroids]
+        signatures = [tuple(row) for row in codebook.encode(centroids).tolist()]
         if len(set(signatures)) == len(signatures):
             return codebook, config.with_style_codes(tuple(signatures))
     raise DatasetError("codebook failed to separate the style centroids")

@@ -9,6 +9,13 @@ class VocabularyError(SceneDiffError):
     """A category, relation, or style token is outside the configured vocabulary."""
 
 
+class UnknownStyleError(VocabularyError, KeyError):
+    """A style name the config does not define. A KeyError too, since it is
+    a failed lookup in the config's style table."""
+
+    __str__ = Exception.__str__  # the message alone, not KeyError's repr of it
+
+
 class InstructionParseError(SceneDiffError):
     """Instruction text does not match the template grammar."""
 

@@ -49,9 +49,9 @@ class SemanticGraph:
     k_e: int = 11
 
     def __post_init__(self):
-        cats = np.asarray(self.categories, dtype=np.int64).copy()
-        codes = np.asarray(self.codes, dtype=np.int64).copy()
-        rels = np.asarray(self.relations, dtype=np.int64).copy()
+        cats = np.array(self.categories, dtype=np.int64)
+        codes = np.array(self.codes, dtype=np.int64)
+        rels = np.array(self.relations, dtype=np.int64)
         n = cats.shape[0]
         if cats.ndim != 1:
             raise ValueError("categories must be one-dimensional")
@@ -60,7 +60,8 @@ class SemanticGraph:
         if rels.shape != (n_pairs(n),):
             raise ValueError("relations must hold one label per slot pair j < k")
         for arr, k in ((cats, self.k_c), (codes, self.k_f), (rels, self.k_e)):
-            if arr.size and (arr.min() < 0 or arr.max() > mask_state(k)):
+            # Read as unsigned, a negative label is huge: one max checks both ends.
+            if arr.size and arr.view(np.uint64).max() > mask_state(k):
                 raise ValueError("label outside its alphabet")
         for arr in (cats, codes, rels):
             arr.flags.writeable = False
@@ -134,28 +135,64 @@ class SemanticGraph:
         return hash((self.k_c, self.k_f, self.k_e, self.n_slots, self.n_f, self.key()))
 
 
-def derive_semantic_graph(scene: Scene, codebook, config: SceneConfig) -> SemanticGraph:
-    """Encode a scene into its (unpadded) semantic graph.
+def check_scenes_fit(scenes, config: SceneConfig, n_slots: int | None = None) -> None:
+    """Raise ValueError unless every scene fits ``config``: at most ``n_slots``
+    objects (default ``n_max``), categories inside the vocabulary, features
+    of dimension d."""
+    n_slots = config.n_max if n_slots is None else n_slots
+    k_c, d = config.k_c, config.d
+    for scene in scenes:
+        if scene.n_objects > n_slots:
+            raise ValueError(f"a scene holds {scene.n_objects} objects, more than {n_slots} slots")
+        for obj in scene.objects:
+            if obj.category >= k_c:
+                raise ValueError(f"category {obj.category} outside vocabulary of {k_c}")
+            if obj.feature.shape[0] != d:
+                raise ValueError("object feature dimension disagrees with config")
 
-    Categories come straight from the objects, codes from quantizing each
-    object feature with ``codebook``, relations from the geometric rules.
+
+def derive_graph_arrays(scenes, codebook, config: SceneConfig, n_slots: int):
+    """Semantic graphs of scenes as padded label arrays over n_slots slots.
+
+    Returns (categories (S, n_slots), codes (S, n_slots, n_f), relations
+    (S, n_pairs(n_slots))). Object i of a scene fills slot i; the slots past
+    its objects hold empty labels. Categories come straight from the
+    objects, codes from one ``codebook.encode`` of every feature stacked,
+    relations from the scalar geometric rules of ``extract_relations``.
+    The padded rows are built as lists and converted once per kind.
+    Raises ValueError when a scene does not fit (see check_scenes_fit).
     """
     if codebook.d != config.d:
         raise ValueError(f"codebook dimension {codebook.d} != config d {config.d}")
     if codebook.n_f != config.n_f or codebook.k_f != config.k_f:
         raise ValueError("codebook shape disagrees with config")
-    n = scene.n_objects
-    cats = np.empty(n, dtype=np.int64)
-    codes = np.empty((n, config.n_f), dtype=np.int64)
-    for i, obj in enumerate(scene.objects):
-        if obj.category >= config.k_c:
-            raise ValueError(f"category {obj.category} outside vocabulary of {config.k_c}")
-        if obj.feature.shape[0] != config.d:
-            raise ValueError("object feature dimension disagrees with config")
-        cats[i] = obj.category
-        codes[i] = codebook.encode(obj.feature)
-    rels = np.array([int(r) for r in extract_relations(scene.objects)], dtype=np.int64)
-    return SemanticGraph(cats, codes, rels, k_c=config.k_c, k_f=config.k_f, k_e=config.k_e)
+    check_scenes_fit(scenes, config, n_slots)
+    codes = codebook.encode(np.array([o.feature for s in scenes for o in s.objects])).tolist()
+    empty_cat, empty_rel = empty_state(config.k_c), empty_state(config.k_e)
+    empty_codes = [empty_state(config.k_f)] * config.n_f
+    cat_rows, code_rows, rel_rows = [], [], []
+    start = 0
+    for scene in scenes:
+        n = scene.n_objects
+        cat_rows.append([o.category for o in scene.objects] + [empty_cat] * (n_slots - n))
+        code_rows.append(codes[start:start + n] + [empty_codes] * (n_slots - n))
+        start += n
+        rels = [empty_rel] * n_pairs(n_slots)
+        # Pair (j, k) of the scene's n objects sits at pair_index(j, k, n_slots).
+        j, k = pair_slots(n)
+        for a, b, label in zip(j.tolist(), k.tolist(), extract_relations(scene.objects)):
+            rels[pair_index(a, b, n_slots)] = label
+        rel_rows.append(rels)
+    return (np.array(cat_rows, dtype=np.int64), np.array(code_rows, dtype=np.int64),
+            np.array(rel_rows, dtype=np.int64))
+
+
+def derive_semantic_graph(scene: Scene, codebook, config: SceneConfig) -> SemanticGraph:
+    """Encode a scene into its (unpadded) semantic graph, one slot per
+    object; see derive_graph_arrays."""
+    cats, codes, rels = derive_graph_arrays((scene,), codebook, config, scene.n_objects)
+    return SemanticGraph(cats[0], codes[0], rels[0],
+                         k_c=config.k_c, k_f=config.k_f, k_e=config.k_e)
 
 
 def pad_graph(graph: SemanticGraph, n_max: int) -> SemanticGraph:

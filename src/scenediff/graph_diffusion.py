@@ -127,43 +127,45 @@ class MaskSchedule:
         return float(self.qbar[self.T][mask_state(self.k), : self.k].min())
 
 
-def _mask_step_matrix(k: int, alpha: float, beta: float, gamma: float,
-                      freeze_empty: bool) -> np.ndarray:
+def _mask_step_matrices(k: int, alphas, betas, gammas, freeze_empty: bool) -> np.ndarray:
+    """(T, k + 2, k + 2) mask-structure step matrices, one per parameter row."""
     m = k + 2
     e, msk = empty_state(k), mask_state(k)
-    q = np.zeros((m, m), dtype=np.float64)
-    for j in range(k):
-        q[:k, j] = beta
-        q[j, j] = alpha + beta
-        q[msk, j] = gamma
+    real = np.arange(k)
+    q = np.zeros((alphas.shape[0], m, m), dtype=np.float64)
+    q[:, :k, :k] = betas[:, None, None]
+    q[:, real, real] = (alphas + betas)[:, None]
+    q[:, msk, :k] = gammas[:, None]
     if freeze_empty:
-        q[e, e] = 1.0
+        q[:, e, e] = 1.0
     else:
-        q[e, e] = 1.0 - gamma
-        q[msk, e] = gamma
-    q[msk, msk] = 1.0
+        q[:, e, e] = 1.0 - gammas
+        q[:, msk, e] = gammas
+    q[:, msk, msk] = 1.0
     return q
 
 
-def _uniform_step_matrix(k: int, stay: float, freeze_empty: bool) -> np.ndarray:
+def _uniform_step_matrices(k: int, stays, mix, freeze_empty: bool) -> np.ndarray:
+    """(T, k + 2, k + 2) uniform-structure step matrices: each of the mixing
+    states keeps its label with stays[t] and moves to every mixing state with
+    mix[t]; the mask, and empty under freeze_empty, stay put."""
     m = k + 2
     e, msk = empty_state(k), mask_state(k)
     states = k if freeze_empty else k + 1
-    q = np.zeros((m, m), dtype=np.float64)
-    mix = (1.0 - stay) / states
-    q[:states, :states] = mix
-    q[np.arange(states), np.arange(states)] += stay
+    mixing = np.arange(states)
+    q = np.zeros((stays.shape[0], m, m), dtype=np.float64)
+    q[:, :states, :states] = mix[:, None, None]
+    q[:, mixing, mixing] += stays[:, None]
     if freeze_empty:
-        q[e, e] = 1.0
-    q[msk, msk] = 1.0
+        q[:, e, e] = 1.0
+    q[:, msk, msk] = 1.0
     return q
 
 
 def _assemble_schedule(k: int, kernel: str, alphas, betas, gammas,
-                       step_matrices, freeze_empty: bool) -> MaskSchedule:
-    T = len(step_matrices)
+                       q: np.ndarray, freeze_empty: bool) -> MaskSchedule:
+    T = q.shape[0]
     m = k + 2
-    q = np.stack(step_matrices, axis=0)
     qbar = np.empty((T + 1, m, m), dtype=np.float64)
     qbar[0] = np.eye(m)
     for t in range(1, T + 1):
@@ -194,11 +196,8 @@ def mask_schedule_from_params(k: int, alphas, betas, gammas, *,
         raise ValueError("schedule parameters out of range")
     if not np.allclose(alphas + k * betas + gammas, 1.0, atol=1e-12):
         raise ValueError("need alpha_t + k beta_t + gamma_t == 1 at every step")
-    mats = [
-        _mask_step_matrix(k, float(a), float(b), float(g), freeze_empty)
-        for a, b, g in zip(alphas, betas, gammas)
-    ]
-    return _assemble_schedule(k, kernel, alphas, betas, gammas, mats, freeze_empty)
+    q = _mask_step_matrices(k, alphas, betas, gammas, freeze_empty)
+    return _assemble_schedule(k, kernel, alphas, betas, gammas, q, freeze_empty)
 
 
 def uniform_schedule_from_stays(k: int, stays, *, kernel: str = KERNEL_UNIFORM,
@@ -207,10 +206,9 @@ def uniform_schedule_from_stays(k: int, stays, *, kernel: str = KERNEL_UNIFORM,
     stays = np.asarray(stays, dtype=np.float64)
     if stays.ndim != 1 or (stays < 0).any() or (stays > 1).any():
         raise ValueError("stay weights must lie in [0, 1]")
-    states = k if freeze_empty else k + 1
-    mats = [_uniform_step_matrix(k, float(a), freeze_empty) for a in stays]
-    betas = (1.0 - stays) / states
-    return _assemble_schedule(k, kernel, stays, betas, np.zeros_like(stays), mats, freeze_empty)
+    betas = (1.0 - stays) / (k if freeze_empty else k + 1)
+    q = _uniform_step_matrices(k, stays, betas, freeze_empty)
+    return _assemble_schedule(k, kernel, stays, betas, np.zeros_like(stays), q, freeze_empty)
 
 
 def _std_normal_cdf(x: np.ndarray) -> np.ndarray:
@@ -550,30 +548,29 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
         graphs = list(dataset)
         if not graphs:
             raise ValueError("empty graph dataset")
-        shape = (graphs[0].n_slots, graphs[0].n_f)
-        kinds = (graphs[0].k_c, graphs[0].k_f, graphs[0].k_e)
-        counts: dict[bytes, int] = {}
-        uniques: dict[bytes, SemanticGraph] = {}
-        for g in graphs:
-            if g.has_mask():
-                raise ValueError("dataset graphs must be clean")
-            if (g.n_slots, g.n_f) != shape or (g.k_c, g.k_f, g.k_e) != kinds:
-                raise ValueError("dataset graphs must share shape and vocabulary")
-            key = g.key()
-            counts[key] = counts.get(key, 0) + 1
-            uniques.setdefault(key, g)
+        if len({(g.codes.shape, g.k_c, g.k_f, g.k_e) for g in graphs}) != 1:
+            raise ValueError("dataset graphs must share shape and vocabulary")
         self.schedule = schedule
-        self.graphs = [uniques[k] for k in uniques]
-        self.n_slots, self.n_f = shape
-        self.k_c, self.k_f, self.k_e = kinds
+        self.n_slots, self.n_f = graphs[0].codes.shape
+        self.k_c, self.k_f, self.k_e = graphs[0].k_c, graphs[0].k_f, graphs[0].k_e
         if schedule.category.k != self.k_c or schedule.code.k != self.k_f \
                 or schedule.relation.k != self.k_e:
             raise ValueError("schedule vocabulary disagrees with the dataset")
-        self._counts = np.array([counts[g.key()] for g in self.graphs], dtype=np.float64)
+        cat = np.stack([g.categories for g in graphs])
+        code = np.stack([g.codes.reshape(-1) for g in graphs])
+        rel = np.stack([g.relations for g in graphs])
+        if ((cat == mask_state(self.k_c)).any() or (code == mask_state(self.k_f)).any()
+                or (rel == mask_state(self.k_e)).any()):
+            raise ValueError("dataset graphs must be clean")
+        # Distinct graphs in order of first appearance, with their counts.
+        _, first, counts = np.unique(np.concatenate([cat, code, rel], axis=1), axis=0,
+                                     return_index=True, return_counts=True)
+        order = np.argsort(first)
+        first = first[order]
+        self.graphs = [graphs[i] for i in first.tolist()]
+        self._counts = counts[order].astype(np.float64)
         self._log_prior = np.log(self._counts / self._counts.sum())
-        self._ucat = np.stack([g.categories for g in self.graphs])
-        self._ucode = np.stack([g.codes.reshape(-1) for g in self.graphs])
-        self._urel = np.stack([g.relations for g in self.graphs])
+        self._ucat, self._ucode, self._urel = cat[first], code[first], rel[first]
         scheds = (schedule.category, schedule.code, schedule.relation)
         labels = (self._ucat, self._ucode, self._urel)
         # The clean one-hots of the three kinds side by side, (U, D): the

@@ -183,17 +183,21 @@ class ExactEpsDenoiser(EpsDenoiser):
         pairs = [(g, np.asarray(L, dtype=np.float64)) for g, L in dataset]
         if not pairs:
             raise ValueError("empty layout dataset")
+        if any(L.shape[0] != g.n_slots for g, L in pairs):
+            raise ValueError("layout must have one row per graph slot")
+        # Every layout's rows stacked, standardized at once, then split back.
+        rows = np.concatenate([L for _, L in pairs], axis=0)
         if stats is None:
-            stats = compute_layout_stats([L for _, L in pairs])
+            stats = compute_layout_stats([rows])
         self.stats = stats
         self.schedule = schedule
         self._exact: dict[bytes, list[np.ndarray]] = {}
         self._no_codes: dict[bytes, list[np.ndarray]] = {}
         self._multiset: dict[bytes, list[np.ndarray]] = {}
+        standardized, lo = standardize(rows, stats), 0
         for g, L in pairs:
-            z = standardize(L, stats)
-            if L.shape[0] != g.n_slots:
-                raise ValueError("layout must have one row per graph slot")
+            z = standardized[lo:lo + L.shape[0]]
+            lo += L.shape[0]
             self._exact.setdefault(g.key(), []).append(z)
             self._no_codes.setdefault(self._key_no_codes(g), []).append(z)
             self._multiset.setdefault(self._key_multiset(g), []).append(z)

@@ -45,18 +45,22 @@ class Codebook:
     def d(self) -> int:
         return self.n_f * self.d_z
 
-    def encode(self, feature) -> np.ndarray:
-        """Quantize one feature into its (n_f,) code sequence.
+    def encode(self, features) -> np.ndarray:
+        """Quantize one feature (d,) into its (n_f,) code sequence, or a stack
+        (N, d) into (N, n_f).
 
         Each chunk maps to the nearest centroid in squared Euclidean
-        distance; exact ties go to the lowest code index.
+        distance; exact ties go to the lowest code index. Every chunk's
+        distances are computed alone, so a feature's codes do not depend on
+        the stack it comes in.
         """
-        feature = np.asarray(feature, dtype=np.float64).reshape(-1)
-        if feature.shape[0] != self.d:
-            raise ValueError(f"feature has dimension {feature.shape[0]}, codebook wants {self.d}")
-        chunks = feature.reshape(self.n_f, self.d_z)
-        d2 = ((chunks[:, None, :] - self.entries[None, :, :]) ** 2).sum(axis=2)
-        return np.argmin(d2, axis=1).astype(np.int64)
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim not in (1, 2) or features.shape[-1] != self.d:
+            raise ValueError(f"features of shape {features.shape}, codebook wants "
+                             f"({self.d},) or (N, {self.d})")
+        diff = features.reshape(-1, 1, self.d_z) - self.entries
+        d2 = np.add.reduce(np.square(diff, out=diff), axis=2)
+        return d2.argmin(axis=1).reshape(*features.shape[:-1], self.n_f)
 
     def decode(self, codes) -> np.ndarray:
         """Concatenate the centroids named by a code sequence."""

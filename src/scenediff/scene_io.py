@@ -1,12 +1,15 @@
 """Deterministic JSON serialization for scenes and dataset bundles.
 
 Bundles live in a directory of five files (config, codebook, library,
-scenes, instructions). Graphs, layouts, and standardization statistics are
-recomputed at load time from the scenes, which keeps the stored form small
-and guarantees the loaded bundle is self-consistent. All writers sort keys
-and end with a newline, so equal inputs produce byte-identical files. The
-readers raise FormatError on a file that is not JSON or lacks a record they
-need, and on a bundle directory that lacks one of its files.
+scenes, instructions). Graphs and layouts are derived again at every load,
+from the scenes, in one batched pass (``derive_graphs_and_layouts``: one
+quantizer call per chunk of scenes, padded arrays written directly), and
+nothing of it is kept from one load to the next. That keeps the stored form
+small and guarantees the loaded bundle is self-consistent. All writers sort
+keys and end with a newline, so equal inputs produce byte-identical files.
+The readers raise FormatError on a file that is not JSON or lacks a record
+they need, on a bundle directory that lacks one of its files, and on a
+bundle whose scenes do not fit its config.
 """
 
 from __future__ import annotations
@@ -52,13 +55,14 @@ def object_to_dict(obj: ObjectInstance) -> dict:
 
 
 def object_from_dict(data: dict) -> ObjectInstance:
+    # ObjectInstance converts location, size and feature itself.
     try:
         return ObjectInstance(
             category=int(data["category"]),
-            location=tuple(float(v) for v in data["location"]),
-            size=tuple(float(v) for v in data["size"]),
+            location=data["location"],
+            size=data["size"],
             rotation=float(data["rotation"]),
-            feature=np.asarray(data["feature"], dtype=np.float64),
+            feature=data["feature"],
             asset_id=data.get("asset_id"),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -192,7 +196,7 @@ def load_bundle(directory: Path | str) -> DatasetBundle:
         lib = load_json(directory / "library.json")
         library = AssetLibrary(tuple(
             Asset(asset_id=a["asset_id"], category=int(a["category"]),
-                  feature=np.asarray(a["feature"], dtype=np.float64),
+                  feature=a["feature"],
                   size=tuple(float(v) for v in a["size"]))
             for a in lib["assets"]
         ))
@@ -201,11 +205,11 @@ def load_bundle(directory: Path | str) -> DatasetBundle:
             instruction_from_dict(d)
             for d in load_json(directory / "instructions.json")["instructions"]
         )
+        graphs, layouts = derive_graphs_and_layouts(scenes, codebook, config)
     except SceneDiffError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed bundle in {directory}: {exc!r}") from exc
-    graphs, layouts = derive_graphs_and_layouts(scenes, codebook, config)
     return DatasetBundle(
         config=config,
         scenes=scenes,

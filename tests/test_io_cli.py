@@ -1,6 +1,8 @@
 """Serialization fidelity and command line behavior."""
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -9,7 +11,8 @@ from click.testing import CliRunner
 
 from scenediff import datagen
 from scenediff.cli import main
-from scenediff.errors import FormatError, SceneDiffError
+from scenediff.datagen import AssetLibrary
+from scenediff.errors import FormatError, SceneDiffError, VocabularyError
 from scenediff.evaluation import scene_satisfies
 from scenediff.graph import derive_semantic_graph, pad_graph
 from scenediff.graph_diffusion import build_graph_schedule, schedule_to_json
@@ -141,12 +144,35 @@ def test_bundle_roundtrip(tmp_path, toy):
     assert np.array_equal(back.codebook.entries, toy.codebook.entries)
     assert [a.asset_id for a in back.library] == [a.asset_id for a in toy.library]
     assert back.instructions == toy.instructions
+    assert back.scenes == toy.scenes
+    assert back.library == toy.library
     # Saving the loaded bundle reproduces the files byte for byte.
     save_bundle(back, tmp_path / "again")
     for name in ("config.json", "codebook.json", "library.json",
                  "scenes.json", "instructions.json"):
         assert (tmp_path / "bundle" / name).read_bytes() == \
             (tmp_path / "again" / name).read_bytes()
+
+
+def _one_ulp_up(feature):
+    bumped = np.array(feature)
+    bumped[0] = np.nextafter(bumped[0], np.inf)
+    return bumped
+
+
+def test_objects_assets_and_scenes_compare_by_value(toy):
+    obj, asset, scene = toy.scenes[0].objects[1], toy.library.assets[0], toy.scenes[0]
+    assert obj == dataclasses.replace(obj)
+    assert obj != dataclasses.replace(obj, feature=_one_ulp_up(obj.feature))
+    assert asset == dataclasses.replace(asset)
+    assert asset != dataclasses.replace(asset, feature=_one_ulp_up(asset.feature))
+    copies = tuple(dataclasses.replace(o) for o in scene.objects)
+    assert scene == dataclasses.replace(scene, objects=copies)
+    bumped = (dataclasses.replace(copies[0], feature=_one_ulp_up(copies[0].feature)),
+              *copies[1:])
+    assert scene != dataclasses.replace(scene, objects=bumped)
+    assert toy.library == AssetLibrary(tuple(dataclasses.replace(a) for a in toy.library))
+    assert obj != scene and obj != "object"
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +353,70 @@ def test_cli_uncond_on_an_empty_bundle_directory_exits_4(tmp_path):
     _assert_typed_failure(
         res, f"{empty} is not a scene bundle: missing config.json, codebook.json, "
              "library.json, scenes.json, instructions.json")
+
+
+# Edits of a toy scene's object records that leave it unfit for the toy
+# config (4 categories, 16-dimensional features, 4 slots), with the reason.
+_MISFITS = {
+    "category": (lambda objects: objects[0].update(category=99),
+                 "category 99 outside vocabulary of 4"),
+    "feature": (lambda objects: objects[0]["feature"].append(0.0),
+                "object feature dimension disagrees with config"),
+    "count": (lambda objects: objects.extend(copy.deepcopy(objects)),
+              "a scene holds 6 objects, more than 4 slots"),
+}
+
+
+@pytest.mark.parametrize("misfit", sorted(_MISFITS))
+def test_cli_bundle_whose_scene_does_not_fit_exits_4(tmp_path, toy, misfit):
+    edit, reason = _MISFITS[misfit]
+    path = tmp_path / "bundle"
+    save_bundle(toy, path)
+    data = json.loads((path / "scenes.json").read_text())
+    edit(data["scenes"][3]["objects"])
+    dump_json(data, path / "scenes.json")
+    message = f"malformed bundle in {path}: ValueError({reason!r})"
+    with pytest.raises(FormatError) as info:
+        load_bundle(path)
+    assert str(info.value) == message
+    out = tmp_path / "u.json"
+    res = CliRunner().invoke(main, ["uncond", "--bundle", str(path), "--out", str(out), *FAST])
+    _assert_typed_failure(res, message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("misfit", sorted(_MISFITS))
+@pytest.mark.parametrize("command", ["complete", "rearrange", "stylize"])
+def test_cli_edit_of_a_scene_that_does_not_fit_exits_4(tmp_path, bundle_dir, toy, command,
+                                                       misfit):
+    edit, reason = _MISFITS[misfit]
+    record = scene_to_dict(toy.scenes[0])
+    edit(record["objects"])
+    scenes_path = tmp_path / "misfit.json"
+    dump_json({"scenes": [record]}, scenes_path)
+    out = tmp_path / "x.json"
+    style = ["--style", "oak"] if command == "stylize" else []
+    res = CliRunner().invoke(main, [command, "--bundle", bundle_dir, "--scenes",
+                                    str(scenes_path), *style, "--out", str(out), *FAST])
+    _assert_typed_failure(res, f"{scenes_path}: scene 0 does not fit the bundle: {reason}")
+    assert not out.exists()
+
+
+def test_cli_unknown_style_is_a_usage_error(tmp_path, bundle_dir, toy):
+    with pytest.raises(VocabularyError):
+        toy.config.style_signature("steel")
+    with pytest.raises(KeyError):
+        toy.config.style_signature("steel")
+    scenes_path = tmp_path / "src.json"
+    save_scenes([toy.scenes[0]], scenes_path)
+    out = tmp_path / "x.json"
+    res = CliRunner().invoke(main, ["stylize", "--bundle", bundle_dir, "--scenes",
+                                    str(scenes_path), "--style", "steel", "--out", str(out),
+                                    *FAST])
+    assert res.exit_code == 2
+    assert res.stderr.splitlines()[-1] == "Error: unknown style 'steel'"
+    assert "Traceback" not in res.output
+    assert not out.exists()
 
 
 def _dataset_graph_keys_of(scenes_path, bundle_dir):
