@@ -21,6 +21,7 @@ from .errors import (
     DatasetError,
     FormatError,
     InstructionParseError,
+    MissingStyleCodesError,
     SceneDiffError,
     SupportError,
     UnknownStyleError,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import UnknownStyleError
+from .errors import MissingStyleCodesError, UnknownStyleError
 
 N_RELATION_LABELS = 11
 
@@ -74,7 +74,8 @@ class SceneConfig:
         if name not in self.style_names:
             raise UnknownStyleError(f"unknown style {name!r}")
         if not self.style_codes:
-            raise KeyError("style signatures not fitted yet")
+            raise MissingStyleCodesError(
+                f"style {name!r} has no code signature: the config holds no style codes")
         return self.style_codes[self.style_names.index(name)]
 
     def with_style_codes(self, codes) -> "SceneConfig":

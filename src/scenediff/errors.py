@@ -16,6 +16,11 @@ class UnknownStyleError(VocabularyError, KeyError):
     __str__ = Exception.__str__  # the message alone, not KeyError's repr of it
 
 
+class MissingStyleCodesError(SceneDiffError):
+    """The config names a style but holds no code signatures, as in a bundle
+    whose config.json lists style_names with an empty style_codes list."""
+
+
 class InstructionParseError(SceneDiffError):
     """Instruction text does not match the template grammar."""
 

@@ -45,8 +45,10 @@ MASKING_KERNELS = (KERNEL_INDEPENDENT, KERNEL_JOINT)
 
 TERMINAL_MASK_MIN = 0.999
 
-# Bound on the per-chunk temporaries of EmpiricalGraphDenoiser.log_likelihood.
+# Bound on the per-chunk temporaries of EmpiricalGraphDenoiser.log_likelihood,
+# and the finite stand-in for log 0 in its tables.
 _LIKELIHOOD_CHUNK_BYTES = 1 << 20
+_LOG_IMPOSSIBLE = -1e300
 
 
 @dataclass(frozen=True)
@@ -364,17 +366,17 @@ def _sample_rows(probs: np.ndarray, rng: np.random.Generator,
 
     Raises ValueError with ``error`` when a row has no mass.
     """
-    return _sample_cdf(np.cumsum(probs, axis=1), rng, error)
+    return _sample_cdf(np.cumsum(probs.T, axis=0, out=np.empty(probs.shape[::-1])), rng, error)
 
 
 def _sample_cdf(cdf: np.ndarray, rng: np.random.Generator,
                 error: str = "a sampling row has zero total mass") -> np.ndarray:
-    """_sample_rows on the rows' cumulative sums, (rows, states)."""
-    totals = cdf[:, -1]
+    """_sample_rows on the rows' cumulative sums, laid out (states, rows)."""
+    totals = cdf[-1]
     if (totals <= 0.0).any():
         raise ValueError(error)
-    u = rng.random(cdf.shape[0]) * totals
-    return (cdf < u[:, None]).sum(axis=1).astype(np.int64)
+    u = rng.random(cdf.shape[1]) * totals
+    return (cdf < u).sum(axis=0, dtype=np.int64)
 
 
 def true_posterior(x_t: int, x0: int, t: int, schedule: MaskSchedule) -> np.ndarray:
@@ -427,10 +429,12 @@ def _mixture_cdf(schedule: MaskSchedule, t: int) -> np.ndarray:
     """(n_states * (k + 1), n_states) table whose row x_t * (k + 1) + x_0
     holds the cumulative sums of posterior_mixture_tensor(schedule, t)[x_t, x_0].
 
-    Built once per schedule and t, without memoizing the tensor itself."""
+    Built once per schedule and t, without memoizing the tensor itself, and
+    stored column-major: its transpose is _sample_cdf's (states, rows) layout."""
     out = schedule._mixture_cdfs.get(t)
     if out is None:
-        out = np.cumsum(_build_mixture(schedule, t), axis=-1).reshape(-1, schedule.n_states)
+        out = np.asfortranarray(
+            np.cumsum(_build_mixture(schedule, t), axis=-1).reshape(-1, schedule.n_states))
         out.flags.writeable = False
         schedule._mixture_cdfs[t] = out
     return out
@@ -579,20 +583,18 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
         self._onehot = np.concatenate(blocks, axis=1)
         ends = np.cumsum([b.shape[1] for b in blocks]).tolist()
         self._columns = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
-        # Per t, two flat tables: the three kinds' (k + 2, k + 1) tables over
-        # clean labels, flattened and concatenated, and one trailing 0. One
-        # holds log Qbar_t with 0 where the pair is impossible, the other the
-        # 0/1 impossible-pair indicator, so that -inf never enters a matrix
-        # product. One-hot column c (slot s, label l of a kind) reads entry
-        # base[c] + x[s] * stride[c] for a chain state x laid out as the
+        # Per t, one flat table: the three kinds' (k + 2, k + 1) tables of
+        # log Qbar_t over clean labels, flattened and concatenated, and one
+        # trailing 0; impossible pairs hold _LOG_IMPOSSIBLE (see
+        # log_likelihood). One-hot column c (slot s, label l of a kind) reads
+        # entry base[c] + x[s] * stride[c] for a chain state x laid out as the
         # three kinds side by side; unobserved columns read the 0.
-        logs, indicators, base, stride, slot, top = [], [], [], [], [], []
+        logs, base, stride, slot, top = [], [], [], [], []
         offset = first_slot = 0
         for s, u in zip(scheds, labels):
             clean = s.qbar[:, :, : s.k + 1].reshape(schedule.T + 1, -1)
-            impossible = clean <= 0.0
-            logs.append(np.where(impossible, 0.0, np.log(np.maximum(clean, 1e-300))))
-            indicators.append(impossible)
+            logs.append(np.where(clean > 0.0, np.log(np.maximum(clean, 1e-300)),
+                                 _LOG_IMPOSSIBLE))
             n, width = u.shape[1], s.k + 1
             base.append(np.tile(offset + np.arange(width), n))
             stride.append(np.full(n * width, width))
@@ -602,7 +604,6 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
             first_slot += n
         pad = [np.zeros((schedule.T + 1, 1))]
         self._flat_log = np.concatenate(logs + pad, axis=1)
-        self._flat_impossible = np.concatenate(indicators + pad, axis=1)
         self._base, self._stride, self._slot, self._top = (
             np.concatenate(a) for a in (base, stride, slot, top))
         self._filter_cache: dict[Instruction, np.ndarray] = {}
@@ -650,20 +651,21 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
         A chain's entries of log Qbar_t over clean labels, one per one-hot
         column, make one row whose product with a graph's one-hots sums the
         log terms of that graph's labels; one gather through the flat index
-        of each column reads them. The same product over the impossible-pair
-        indicator counts the impossible slots, which set -inf. Chains go in
-        chunks whose temporaries stay within _LIKELIHOOD_CHUNK_BYTES.
+        of each column reads them. An impossible pair reads the finite
+        _LOG_IMPOSSIBLE, which the other graphs' one-hot zeros turn into -0
+        (-inf would give NaN). A sum holding it lies below half of it, far
+        under any finite sum (one entry per slot, each at least log 1e-300),
+        and becomes -inf. Chains go in chunks within _LIKELIHOOD_CHUNK_BYTES.
         """
         states = (cat, code_flat, rel)
         batch, (n_unique, width) = cat.shape[0], self._onehot.shape
         n_state = sum(x.shape[1] for x in states)
         # Per chain: the state row, the flat indices before and after the
-        # observed columns redirect them, the log and indicator rows (D
-        # each), the impossible counts (U) and their mask, and the observed
-        # slots and columns.
-        per_chain = 8 * (n_state + 4 * width + n_unique) + n_unique + n_state + width
+        # observed columns redirect them, the log row (D each), the mask of
+        # impossible sums (U), and the observed slots and columns.
+        per_chain = 8 * (n_state + 3 * width) + n_unique + n_state + width
         chunk = max(1, _LIKELIHOOD_CHUNK_BYTES // per_chain)
-        log_t, impossible_t = self._flat_log[t], self._flat_impossible[t]
+        log_t = self._flat_log[t]
         unobserved = log_t.shape[0] - 1
         onehot_t = self._onehot.T
         ll = np.empty((batch, n_unique), dtype=np.float64)
@@ -678,10 +680,8 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
             if observe is not None:
                 seen = np.concatenate([o[rows] for o in observe], axis=1)[:, self._slot]
                 idx = np.where(seen, idx, unobserved)
-            np.matmul(log_t[idx], onehot_t, out=ll[rows])
-            impossible = impossible_t[idx]
-            if impossible.any():
-                ll[rows][impossible @ onehot_t > 0.0] = -np.inf
+            block = np.matmul(log_t[idx], onehot_t, out=ll[rows])
+            np.putmask(block, block < 0.5 * _LOG_IMPOSSIBLE, -np.inf)
         return ll
 
     def posterior_weights(self, cat, code_flat, rel, filters, t: int,
@@ -882,7 +882,7 @@ def _joint_step_kind(states: np.ndarray, x0: np.ndarray, schedule: MaskSchedule,
         return states
     out = states.reshape(-1).copy()
     rows = out[free] * (schedule.k + 1) + x0.reshape(-1)[free]
-    out[free] = _sample_cdf(np.take(_mixture_cdf(schedule, t), rows, axis=0), rng)
+    out[free] = _sample_cdf(np.take(_mixture_cdf(schedule, t).T, rows, axis=1), rng)
     return out.reshape(states.shape)
 
 
@@ -962,14 +962,13 @@ def reverse_sample_batch(denoiser: GraphDenoiser, schedule: GraphSchedule,
         code = step(code, pf, schedule.code, t, rng, free_code)
         rel = step(rel, pe, schedule.relation, t, rng, free_rel)
 
-    out = []
-    for b in range(n_chains):
-        g = SemanticGraph(cat[b], code[b].reshape(n_slots, n_f), rel[b],
-                          k_c=k_c, k_f=k_f, k_e=k_e)
-        if g.has_mask():
-            raise ValueError("reverse chain ended with mask states")
-        out.append(g)
-    return out
+    # One immutable graph per distinct terminal state, shared by its chains.
+    final, chain_of = np.unique(np.hstack([cat, code, rel]), axis=0, return_inverse=True)
+    graphs = [SemanticGraph(c, f.reshape(n_slots, n_f), e, k_c=k_c, k_f=k_f, k_e=k_e)
+              for c, f, e in (np.split(row, [n_slots, n_slots * (1 + n_f)]) for row in final)]
+    if any(g.has_mask() for g in graphs):
+        raise ValueError("reverse chain ended with mask states")
+    return [graphs[u] for u in chain_of.reshape(-1).tolist()]
 
 
 def reverse_sample(denoiser: GraphDenoiser, schedule: GraphSchedule,

@@ -113,10 +113,7 @@ def _style_codes_from_name(name: str, config: SceneConfig) -> tuple[int, ...]:
         if any(c >= config.k_f for c in codes):
             raise VocabularyError(f"style signature {name!r} has a code outside the codebook")
         return codes
-    try:
-        return config.style_signature(name)
-    except KeyError:
-        raise VocabularyError(f"unknown style {name!r}") from None
+    return config.style_signature(name)
 
 
 def render_instruction(instr: Instruction, config: SceneConfig, seed: int = 0) -> str:

@@ -29,7 +29,8 @@ from scenediff.graph_diffusion import (
     posterior_mixture_tensor,
     reverse_sample_batch,
 )
-from scenediff.instructions import instruction_matches
+from scenediff.graph import SemanticGraph
+from scenediff.instructions import Instruction, StyleConstraint, instruction_matches
 
 T = 25
 
@@ -203,3 +204,96 @@ def test_joint_step_reads_memoized_cumulative_posterior_rows(toy, kernel):
             table = gd._mixture_cdf(s, t)
             assert gd._mixture_cdf(s, t) is table and not table.flags.writeable
     assert sorted(schedule.category._mixture_cdfs) == [1, T // 2, T]
+
+
+def _reference_reverse_sample(den, schedule, n, rng, instructions=None, frozen=None):
+    """reverse_sample_batch written out step by step: the posterior weights,
+    one _sample_rows draw of a dataset graph per chain, the direct joint
+    step per kind, and one SemanticGraph per chain."""
+    n_slots, n_f = den.n_slots, den.n_f
+    kinds = (schedule.category, schedule.code, schedule.relation)
+    widths = (n_slots, n_slots * n_f, n_slots * (n_slots - 1) // 2)
+    states = [gd._initial_states(s, n, w, rng) for s, w in zip(kinds, widths)]
+    fcm, fcv, ffm, ffv, frm, frv = gd._stack_frozen(frozen, n, n_slots, n_f)
+    masks = (fcm, ffm, frm)
+    states = [np.where(m, v, x) for m, v, x in zip(masks, (fcv, ffv, frv), states)]
+    filters = observe = None
+    if instructions is not None:
+        filters = np.broadcast_to(den.filter_vector(instructions), (n, den.n_unique))
+    if frozen is not None:
+        base = den.frozen_value_filter(fcm, fcv, ffm, ffv, frm, frv)
+        filters = base if filters is None else filters & base
+        observe = tuple(~m for m in masks)
+    clean = (den._ucat, den._ucode, den._urel)
+    for t in range(schedule.T, 0, -1):
+        u = gd._sample_rows(den.posterior_weights(*states, filters, t, observe), rng)
+        states = [_direct_joint_step(x, c[u], s, t, rng, np.flatnonzero(~m.reshape(-1)))
+                  for x, c, s, m in zip(states, clean, kinds, masks)]
+    cat, code, rel = states
+    return [SemanticGraph(cat[b], code[b].reshape(n_slots, n_f), rel[b],
+                          k_c=den.k_c, k_f=den.k_f, k_e=den.k_e) for b in range(n)]
+
+
+def _sampler_case(bundle, case):
+    """Sampler keywords: no filter, an instruction, or the frozen slots and
+    instruction of one of the pipeline's three edits of a dataset graph."""
+    graph = bundle.graphs[0]
+    if case == "instruction":
+        return {"instructions": bundle.instructions[2]}
+    if case == "complete":
+        return {"frozen": FrozenGraph.from_graph(graph, freeze_categories=True,
+                                                 freeze_codes=True, freeze_relations=True,
+                                                 slots=range(2))}
+    if case == "rearrange":
+        return {"frozen": FrozenGraph.from_graph(graph, freeze_categories=True,
+                                                 freeze_codes=True)}
+    if case == "stylize":
+        oak = StyleConstraint(codes=bundle.config.style_signature("oak"))
+        return {"instructions": Instruction(style=oak),
+                "frozen": FrozenGraph.from_graph(graph, freeze_categories=True,
+                                                 freeze_relations=True)}
+    return {}
+
+
+SAMPLER_CASES = ("unconditional", "instruction", "complete", "rearrange", "stylize")
+
+
+@pytest.mark.parametrize("batch", [1, 7, 300])
+@pytest.mark.parametrize("case", SAMPLER_CASES)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_sampler_matches_the_reference_loop(toy, kernel, case, batch):
+    schedule = build_graph_schedule(toy.config, T, kernel)
+    den = EmpiricalGraphDenoiser(toy.graphs, schedule)
+    kwargs = _sampler_case(toy, case)
+    seed = [KERNELS.index(kernel), SAMPLER_CASES.index(case), batch]
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _reference_reverse_sample(den, schedule, batch, want_rng, **kwargs)
+    got = reverse_sample_batch(den, schedule, batch, got_rng, **kwargs)
+    assert len(got) == batch
+    assert [g.key() for g in got] == [g.key() for g in want]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_chains_share_one_graph_per_terminal_state(toy, kernel):
+    schedule = build_graph_schedule(toy.config, T, kernel)
+    den = EmpiricalGraphDenoiser(toy.graphs, schedule)
+    graphs = reverse_sample_batch(den, schedule, 500, np.random.default_rng(KERNELS.index(kernel)))
+    by_key = {}
+    for g in graphs:
+        assert by_key.setdefault(g.key(), g) is g
+    assert 1 < len(by_key) == len({id(g) for g in graphs})
+    with pytest.raises(ValueError):
+        graphs[0].categories[0] = 0  # shared graphs are read-only
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_cumulative_table_transposes_to_a_c_contiguous_read_only_layout(toy, kernel):
+    schedule = build_graph_schedule(toy.config, T, kernel)
+    for s in (schedule.category, schedule.code, schedule.relation):
+        for t in (1, T // 2, T):
+            table = gd._mixture_cdf(s, t).T
+            assert table.shape == (s.n_states, s.n_states * (s.k + 1))
+            assert table.flags.c_contiguous and not table.flags.writeable
+            cumulative = np.cumsum(posterior_mixture_tensor(s, t), axis=-1)
+            assert table.tobytes() == cumulative.reshape(-1, s.n_states).T.tobytes()

@@ -15,6 +15,7 @@ import pytest
 from scenediff import graph_diffusion
 from scenediff.config import SceneConfig
 from scenediff.datagen import generate_dataset
+from scenediff.errors import SupportError
 from scenediff.graph_diffusion import (
     KERNELS,
     EmpiricalGraphDenoiser,
@@ -221,3 +222,72 @@ def test_log_likelihood_memory_is_bounded(denoisers, batch):
         tracemalloc.stop()
     assert den.n_unique == 958 and ll.shape == (batch, 958)
     assert peak - ll.nbytes < graph_diffusion._LIKELIHOOD_CHUNK_BYTES + onehot_bytes
+
+
+def _assert_same_support(got, want):
+    """-inf exactly where the gather has it, and the finite sums agree."""
+    assert got.shape == want.shape and not np.isnan(got).any()
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert not finite.any() or np.abs(got[finite] - want[finite]).max() <= 1e-12
+
+
+def _masked_state(den, batch):
+    """Every slot masked, which every graph explains at any t >= 1."""
+    kinds = (den.schedule.category, den.schedule.code, den.schedule.relation)
+    widths = (den.n_slots, den.n_slots * den.n_f, den.n_slots * (den.n_slots - 1) // 2)
+    return [np.full((batch, w), s.k + 1) for s, w in zip(kinds, widths)]
+
+
+@pytest.mark.parametrize("kernel", graph_diffusion.MASKING_KERNELS)
+def test_one_possible_hypothesis_left(random_bundle, kernel):
+    # Without leak a real label stays itself or masks, so a dataset graph's
+    # own clean labels rule out every other graph before the last step.
+    den = EmpiricalGraphDenoiser(
+        random_bundle.graphs, build_graph_schedule(random_bundle.config, T, kernel, leak=0.0))
+    own = np.array([0, 5, 17, 400, den.n_unique - 1])
+    states = [x[own] for x in _clean_labels(den)]
+    for t in STEPS[1:]:
+        got = den.log_likelihood(*states, t)
+        _assert_same_support(got, _gather_log_likelihood(den, states, t, None))
+        assert np.array_equal(np.isfinite(got), np.eye(den.n_unique, dtype=bool)[own])
+
+
+@pytest.mark.parametrize("kernel", graph_diffusion.MASKING_KERNELS)
+def test_every_hypothesis_impossible(random_bundle, denoisers, kernel):
+    # Slot 2 shows an empty category but a real code: a real category never
+    # turns empty and an empty code never turns real, so no graph explains it.
+    den = denoisers[kernel]
+    states = _masked_state(den, 2)
+    states[0][:, 2] = den.schedule.category.k
+    states[1][:, 2 * den.n_f] = 0
+    for t in STEPS:
+        got = den.log_likelihood(*states, t)
+        _assert_same_support(got, _gather_log_likelihood(den, states, t, None))
+        assert np.isneginf(got).all()
+        with pytest.raises(SupportError) as info:
+            den.posterior_weights(*states, None, t)
+        assert str(info.value) == "a chain state has zero likelihood under every dataset graph"
+
+
+@pytest.mark.parametrize("kernel", graph_diffusion.MASKING_KERNELS)
+def test_observed_and_unobserved_slots_mixed(random_bundle, denoisers, kernel):
+    # The state above, observed whole, without slot 2's category, and
+    # without its code: no graph, the graphs with a real slot 2, and those
+    # with an empty one.
+    den = denoisers[kernel]
+    states = _masked_state(den, 3)
+    states[0][:, 2] = den.schedule.category.k
+    states[1][:, 2 * den.n_f] = 0
+    observe = [np.ones(x.shape, dtype=bool) for x in states]
+    observe[0][1, 2] = False
+    observe[1][2, 2 * den.n_f] = False
+    real = den._ucat[:, 2] < den.schedule.category.k
+    assert 0 < real.sum() < den.n_unique
+    # At t = T every label has masked, so any other observed label is
+    # impossible; the steps before it keep both groups.
+    for t in STEPS[1:]:
+        got = den.log_likelihood(*states, t, tuple(observe))
+        _assert_same_support(got, _gather_log_likelihood(den, states, t, observe))
+        assert np.array_equal(np.isfinite(got), np.stack([real & ~real, real, ~real]))

@@ -12,11 +12,17 @@ from click.testing import CliRunner
 from scenediff import datagen
 from scenediff.cli import main
 from scenediff.datagen import AssetLibrary
-from scenediff.errors import FormatError, SceneDiffError, VocabularyError
+from scenediff.errors import (
+    FormatError,
+    MissingStyleCodesError,
+    SceneDiffError,
+    UnknownStyleError,
+    VocabularyError,
+)
 from scenediff.evaluation import scene_satisfies
 from scenediff.graph import derive_semantic_graph, pad_graph
 from scenediff.graph_diffusion import build_graph_schedule, schedule_to_json
-from scenediff.instructions import Instruction, render_instruction
+from scenediff.instructions import Instruction, parse_instruction, render_instruction
 from scenediff.relations import RelationLabel
 from scenediff.scene import Scene
 from scenediff.scene_io import (
@@ -417,6 +423,59 @@ def test_cli_unknown_style_is_a_usage_error(tmp_path, bundle_dir, toy):
     assert res.stderr.splitlines()[-1] == "Error: unknown style 'steel'"
     assert "Traceback" not in res.output
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def codeless_bundle_dir(tmp_path_factory, toy):
+    """The toy bundle with its config's style codes removed: it still names
+    the styles."""
+    path = tmp_path_factory.mktemp("cli-codeless") / "bundle"
+    save_bundle(toy, path)
+    config = json.loads((path / "config.json").read_text())
+    assert "oak" in config["style_names"] and config["style_codes"]
+    config["style_codes"] = []
+    dump_json(config, path / "config.json")
+    return str(path)
+
+
+CODELESS_MESSAGE = "style 'oak' has no code signature: the config holds no style codes"
+
+
+def test_cli_stylize_on_a_bundle_without_style_codes_exits_4(tmp_path, codeless_bundle_dir,
+                                                               toy):
+    # This was a bare KeyError traceback (exit 1).
+    scenes_path = tmp_path / "src.json"
+    save_scenes([toy.scenes[0]], scenes_path)
+    out = tmp_path / "x.json"
+    res = CliRunner().invoke(main, ["stylize", "--bundle", codeless_bundle_dir, "--scenes",
+                                    str(scenes_path), "--style", "oak", "--out", str(out),
+                                    *FAST])
+    _assert_typed_failure(res, CODELESS_MESSAGE)
+    assert not out.exists()
+
+
+def test_cli_style_instruction_on_a_bundle_without_style_codes_exits_4(tmp_path,
+                                                                        codeless_bundle_dir):
+    # This was the usage error "unknown style 'oak'" (exit 2), although the
+    # bundle names the style.
+    out = tmp_path / "g.json"
+    res = CliRunner().invoke(main, ["generate", "--bundle", codeless_bundle_dir,
+                                    "--instruction", "Let the room be oak style.",
+                                    "--out", str(out), *FAST])
+    _assert_typed_failure(res, CODELESS_MESSAGE)
+    assert not out.exists()
+
+
+def test_missing_style_codes_are_not_an_unknown_style(toy):
+    config = dataclasses.replace(toy.config, style_codes=())
+    with pytest.raises(MissingStyleCodesError, match="no code signature"):
+        config.style_signature("oak")
+    with pytest.raises(MissingStyleCodesError):
+        parse_instruction("Let the room be oak style.", config)
+    for cfg in (config, toy.config):
+        with pytest.raises(UnknownStyleError, match="unknown style 'steel'"):
+            parse_instruction("Let the room be steel style.", cfg)
+    assert parse_instruction("Let the room be oak style.", toy.config).style is not None
 
 
 def _dataset_graph_keys_of(scenes_path, bundle_dir):
