@@ -31,7 +31,7 @@ from .errors import (
 )
 from .evaluation import evaluate_scenes
 from .graph import check_scenes_fit
-from .graph_diffusion import KERNELS, KERNEL_INDEPENDENT, GuidanceConfig, schedule_to_json
+from .graph_diffusion import KERNELS, KERNEL_INDEPENDENT, schedule_to_json
 from .instructions import parse_instruction
 from .pipeline import GenerationConfig, ScenePipeline
 from .scene_io import (
@@ -98,10 +98,6 @@ _sampling_options = _options(
                  show_default=True, help="Forward corruption kernel."),
     click.option("--leak", type=click.FloatRange(min=0), default=0.01, show_default=True,
                  help="Uniform label leak of the masking kernels."),
-    click.option("--guidance-scale", type=click.FloatRange(min=0), default=0.0,
-                 show_default=True,
-                 help="Classifier-free guidance strength; leaves the exact graph "
-                      "denoiser's samples unchanged (see README)."),
     click.option("--seed", type=click.IntRange(min=0), default=None,
                  help=f"RNG seed; falls back to ${ENV_SEED}, then 0."),
 )
@@ -111,13 +107,13 @@ _edit_options = _options(
 )
 
 
-def _sample(draw, *, bundle_dir, out, graph_steps, layout_steps, kernel, leak,
-            guidance_scale, seed, what=None, **meta):
+def _sample(draw, *, bundle_dir, out, graph_steps, layout_steps, kernel, leak, seed,
+            what=None, **meta):
     """Build the pipeline, ``draw(pipe, rng)`` the scenes, and save them with
     the seed and ``meta``; ``what`` names the output on stdout."""
     seed = _resolve_seed(seed)
     gen = GenerationConfig(graph_steps=graph_steps, layout_steps=layout_steps, kernel=kernel,
-                           leak=leak, guidance=GuidanceConfig(scale=guidance_scale))
+                           leak=leak)
     pipe = ScenePipeline(load_bundle(Path(bundle_dir)), gen)
     scenes = draw(pipe, np.random.default_rng(seed))
     save_scenes(scenes, out, meta={"seed": seed, **meta})

@@ -486,18 +486,14 @@ def apply_cfg(p_cond, p_uncond, scale: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GuidanceConfig:
-    """Guidance strength plus the conditioning-dropout rate a trained
-    denoiser would use; the exact denoiser conditions by filtering, so the
-    dropout rate is informational there."""
+    """Guidance strength of the factorized reverse step; the exact
+    denoiser's joint step leaves it unused (see reverse_sample_batch)."""
 
     scale: float = 0.0
-    uncond_dropout: float = 0.2
 
     def __post_init__(self):
         if self.scale < 0:
             raise ValueError("guidance scale must be non-negative")
-        if not 0.0 <= self.uncond_dropout <= 1.0:
-            raise ValueError("dropout must be a probability")
 
 
 @dataclass(frozen=True)
@@ -521,8 +517,8 @@ class GraphDenoiser:
         """Batched prediction on raw state arrays; mask never receives mass.
 
         cat: (B, n) labels, code_flat: (B, n * n_f), rel: (B, P). ``filters``
-        is None, one instruction shared by the batch, or a precomputed
-        (B, n_hypotheses) boolean matrix over the denoiser's hypotheses.
+        is None, one instruction shared by the batch, or a boolean mask over
+        the denoiser's hypotheses that broadcasts to (B, n_hypotheses).
         ``observe`` optionally masks which slots carry evidence, as a triple
         of boolean arrays shaped like the state arrays; clamped slots are
         excluded there because their values are not forward samples. Returns
@@ -697,43 +693,34 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
         w = np.exp(ll - peak)
         return w / w.sum(axis=1, keepdims=True)
 
-    def _resolve_filters(self, filters, batch: int):
-        if filters is None or isinstance(filters, Instruction):
-            vec = self.filter_vector(filters)
-            return None if vec is None else np.broadcast_to(vec, (batch, self.n_unique))
-        if np.shape(filters) != (batch, self.n_unique):
-            raise ValueError("filter matrix shape disagrees with the batch")
-        return filters
-
-    def frozen_value_filter(self, cat_mask, cat_values, code_mask, code_values,
-                            rel_mask, rel_values) -> np.ndarray:
-        """(B, n_unique) hypotheses consistent with clamped slot values.
+    def frozen_value_filter(self, frozen: FrozenGraph) -> np.ndarray | None:
+        """(n_unique,) hypotheses consistent with one spec's clamped slot
+        values, or None when it clamps nothing.
 
         This is how clamped slots condition the posterior exactly: instead of
         entering the likelihood (their values are not forward samples), they
         restrict the hypothesis set to dataset graphs carrying those values.
         """
-        okc = ((self._ucat[None, :, :] == cat_values[:, None, :])
-               | ~cat_mask[:, None, :]).all(axis=2)
-        okf = ((self._ucode[None, :, :] == code_values[:, None, :])
-               | ~code_mask[:, None, :]).all(axis=2)
-        oke = ((self._urel[None, :, :] == rel_values[:, None, :])
-               | ~rel_mask[:, None, :]).all(axis=2)
-        ok = okc & okf & oke
-        if (~ok.any(axis=1)).any():
+        clamps = frozen.flat(self.n_slots, self.n_f)
+        if not any(mask.any() for mask, _ in clamps):
+            return None
+        ok = np.ones(self.n_unique, dtype=bool)
+        for u, (mask, values) in zip((self._ucat, self._ucode, self._urel), clamps):
+            ok &= (u[:, mask] == values[mask]).all(axis=1)
+        if not ok.any():
             raise SupportError("frozen slots are inconsistent with every dataset graph")
         return ok
 
-    def combine_filters(self, instructions, base: np.ndarray | None,
-                        batch: int) -> np.ndarray | None:
-        """AND an instruction filter with a hard value filter."""
-        inst = self._resolve_filters(instructions, batch)
-        if inst is None:
-            return base
-        if base is None:
-            return inst
+    def combine_filters(self, instruction: Instruction | None,
+                        frozen: FrozenGraph) -> np.ndarray | None:
+        """(n_unique,) AND of frozen_value_filter and filter_vector, or None if
+        neither restricts; the frozen spec's SupportError comes first."""
+        base = self.frozen_value_filter(frozen)
+        inst = self.filter_vector(instruction)
+        if base is None or inst is None:
+            return inst if base is None else base
         both = inst & base
-        if (~both.any(axis=1)).any():
+        if not both.any():
             raise UnsatisfiableInstructionError(
                 "the instruction conflicts with the frozen scene content",
                 stage="combined",
@@ -741,8 +728,8 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
         return both
 
     def predict_arrays(self, cat, code_flat, rel, filters, t: int, observe=None, rng=None):
-        filt = self._resolve_filters(filters, cat.shape[0])
-        w = self.posterior_weights(cat, code_flat, rel, filt, t, observe)
+        filters = self.filter_vector(filters) if isinstance(filters, Instruction) else filters
+        w = self.posterior_weights(cat, code_flat, rel, filters, t, observe)
         if rng is not None:
             u = _sample_rows(w, rng)
             return self._ucat[u], self._ucode[u], self._urel[u]
@@ -818,23 +805,16 @@ class FrozenGraph:
             rel_mask, np.where(rel_mask, graph.relations, 0),
         )
 
-
-def _stack_frozen(frozen, batch: int, n_slots: int, n_f: int):
-    if frozen is None:
-        frozen = FrozenGraph.nothing(n_slots, n_f)
-    if isinstance(frozen, FrozenGraph):
-        frozen = [frozen] * batch
-    frozen = list(frozen)
-    if len(frozen) != batch:
-        raise ValueError("need one frozen spec per chain")
-    return (
-        np.stack([f.cat_mask for f in frozen]),
-        np.stack([f.cat_values for f in frozen]),
-        np.stack([f.code_mask.reshape(-1) for f in frozen]),
-        np.stack([f.code_values.reshape(-1) for f in frozen]),
-        np.stack([f.rel_mask for f in frozen]),
-        np.stack([f.rel_values for f in frozen]),
-    )
+    def flat(self, n_slots: int, n_f: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per kind, (mask, values) flattened to the samplers' state layout;
+        ValueError unless the spec fits n_slots slots with n_f codes each."""
+        kinds = ((self.cat_mask, self.cat_values), (self.code_mask, self.code_values),
+                 (self.rel_mask, self.rel_values))
+        shapes = ((n_slots,), (n_slots, n_f), (n_pairs(n_slots),))
+        if any(a.shape != shape for kind, shape in zip(kinds, shapes) for a in kind):
+            raise ValueError(f"frozen spec does not fit graphs of {n_slots} slots "
+                             f"with {n_f} codes each")
+        return tuple((mask.reshape(-1), values.reshape(-1)) for mask, values in kinds)
 
 
 def _initial_states(schedule: MaskSchedule, rows: int, cols: int,
@@ -888,66 +868,67 @@ def _joint_step_kind(states: np.ndarray, x0: np.ndarray, schedule: MaskSchedule,
 
 def reverse_sample_batch(denoiser: GraphDenoiser, schedule: GraphSchedule,
                          n_chains: int, rng: np.random.Generator, *,
-                         instructions=None,
+                         instructions: Instruction | None = None,
                          guidance: GuidanceConfig | None = None,
-                         frozen=None) -> list[SemanticGraph]:
+                         frozen: FrozenGraph | None = None) -> list[SemanticGraph]:
     """Run n_chains reverse chains in lockstep and return clean graphs.
 
     Masking kernels start from the all-mask state; uniform-structure kernels
     start from their near-uniform terminal. ``instructions`` is one
-    instruction shared by every chain. ``frozen`` clamps chosen slots to
-    clean values at every step, which is how completion, rearrangement, and
-    stylization condition on partial scenes.
+    instruction and ``frozen`` one FrozenGraph, each shared by every chain.
+    ``frozen`` clamps chosen slots to clean values at every step, which is
+    how completion, rearrangement, and stylization condition on partial
+    scenes.
 
-    With an EmpiricalGraphDenoiser each step is the exact joint reverse
-    conditional: ``predict_arrays(..., rng=rng)`` draws one dataset graph per
-    chain from the posterior weights, and every free slot then draws from
+    With an EmpiricalGraphDenoiser both condition the call through one
+    hypothesis mask, combine_filters(instructions, frozen), built before the
+    first step. Each step is the exact joint reverse conditional:
+    ``predict_arrays(..., rng=rng)`` draws one dataset graph per chain from
+    the masked posterior weights, and every free slot then draws from
     q(x_{t-1} | x_t, x_0 = that graph's label). The drawn graph stays
     consistent with the new state, so no chain loses all its hypotheses, and
-    the terminal graphs are dataset graphs drawn from the filtered prior.
+    the terminal graphs are dataset graphs drawn from the masked prior.
     Guidance leaves this step unchanged: the conditional weights are the
-    unconditional (frozen-filtered) weights restricted to the instruction's
+    unconditional (frozen-masked) weights restricted to the instruction's
     hypotheses and renormalized, and apply_cfg on such a pair returns the
     conditional weights for every scale, so no unconditional pass is made.
 
-    Any other denoiser takes the factorized step: each free slot draws from
-    its own per-slot mixture of posteriors, and guidance with a positive
-    scale mixes in a second, unconditional prediction.
+    Any other denoiser takes no frozen slots and the factorized step: each
+    slot draws from its own per-slot mixture of posteriors, and guidance
+    with a positive scale mixes in a second, unconditional prediction.
     """
     if n_chains < 1:
         raise ValueError("need at least one chain")
     n_slots, n_f = denoiser.n_slots, denoiser.n_f
+    if frozen is None:
+        frozen = FrozenGraph.nothing(n_slots, n_f)
+    elif not isinstance(frozen, FrozenGraph):
+        raise TypeError("frozen must be one FrozenGraph shared by every chain, or None")
+    clamps = frozen.flat(n_slots, n_f)
+    clamped = any(mask.any() for mask, _ in clamps)
+    joint = isinstance(denoiser, EmpiricalGraphDenoiser)
+    if clamped and not joint:
+        raise TypeError("this denoiser cannot condition on frozen slots")
     guidance = guidance or GuidanceConfig()
     k_c, k_f, k_e = schedule.category.k, schedule.code.k, schedule.relation.k
 
-    cat = _initial_states(schedule.category, n_chains, n_slots, rng)
-    code = _initial_states(schedule.code, n_chains, n_slots * n_f, rng)
-    rel = _initial_states(schedule.relation, n_chains, n_pairs(n_slots), rng)
-    fcm, fcv, ffm, ffv, frm, frv = _stack_frozen(frozen, n_chains, n_slots, n_f)
-    cat = np.where(fcm, fcv, cat)
-    code = np.where(ffm, ffv, code)
-    rel = np.where(frm, frv, rel)
+    kinds = (schedule.category, schedule.code, schedule.relation)
+    widths = (n_slots, n_slots * n_f, n_pairs(n_slots))
+    cat, code, rel = (np.where(mask, values, _initial_states(s, n_chains, width, rng))
+                      for s, width, (mask, values) in zip(kinds, widths, clamps))
+    # Clamped slots condition the exact denoiser only through its hypothesis
+    # mask and are excluded from the likelihood; see frozen_value_filter.
+    seen = [np.broadcast_to(~mask, x.shape) for (mask, _), x in zip(clamps, (cat, code, rel))]
+    free_cat, free_code, free_rel = (np.flatnonzero(s) for s in seen)
+    observe = tuple(seen) if clamped else None
+    filters = denoiser.combine_filters(instructions, frozen) if joint else instructions
 
-    # Clamped slots condition the denoiser through a hard hypothesis filter
-    # and are excluded from the likelihood; see frozen_value_filter.
-    observe = None
-    cond_filters, uncond_filters = instructions, None
-    if fcm.any() or ffm.any() or frm.any():
-        observe = (~fcm, ~ffm, ~frm)
-        if not (hasattr(denoiser, "frozen_value_filter") and hasattr(denoiser, "combine_filters")):
-            raise TypeError("this denoiser cannot condition on frozen slots")
-        base = denoiser.frozen_value_filter(fcm, fcv, ffm, ffv, frm, frv)
-        cond_filters = denoiser.combine_filters(instructions, base, n_chains)
-        uncond_filters = base
-    free_cat, free_code, free_rel = (np.flatnonzero(~m.reshape(-1)) for m in (fcm, ffm, frm))
-
-    joint = isinstance(denoiser, EmpiricalGraphDenoiser)
     draw, step = ({"rng": rng}, _joint_step_kind) if joint else ({}, _reverse_step_kind)
     for t in range(schedule.T, 0, -1):
-        pc, pf, pe = denoiser.predict_arrays(cat, code, rel, cond_filters, t, observe, **draw)
+        pc, pf, pe = denoiser.predict_arrays(cat, code, rel, filters, t, observe, **draw)
         if not joint:
             if guidance.scale > 0.0 and instructions is not None:
-                uc, uf, ue = denoiser.predict_arrays(cat, code, rel, uncond_filters, t, observe)
+                uc, uf, ue = denoiser.predict_arrays(cat, code, rel, None, t)
                 pc = apply_cfg(pc, uc, guidance.scale)
                 pf = apply_cfg(pf, uf, guidance.scale)
                 pe = apply_cfg(pe, ue, guidance.scale)
@@ -974,12 +955,10 @@ def reverse_sample_batch(denoiser: GraphDenoiser, schedule: GraphSchedule,
 def reverse_sample(denoiser: GraphDenoiser, schedule: GraphSchedule,
                    rng: np.random.Generator, *,
                    instruction: Instruction | None = None,
-                   guidance: GuidanceConfig | None = None,
                    frozen: FrozenGraph | None = None) -> SemanticGraph:
     """Single-chain reverse sampling; see reverse_sample_batch."""
     return reverse_sample_batch(
-        denoiser, schedule, 1, rng, instructions=instruction,
-        guidance=guidance, frozen=frozen,
+        denoiser, schedule, 1, rng, instructions=instruction, frozen=frozen,
     )[0]
 
 
@@ -1069,7 +1048,6 @@ def _bound_term(mixture: np.ndarray, x0: np.ndarray, x_t: np.ndarray,
 
 def variational_bound(denoiser: GraphDenoiser, graph: SemanticGraph,
                       schedule: GraphSchedule, rng: np.random.Generator, *,
-                      instruction: Instruction | None = None,
                       weights: LossWeights | None = None,
                       n_mc: int = 4) -> float:
     """Monte Carlo negative variational bound of one clean graph.
@@ -1096,7 +1074,7 @@ def variational_bound(denoiser: GraphDenoiser, graph: SemanticGraph,
         for _ in range(n_mc):
             g_t = corrupt_graph(graph, t, schedule, rng)
             noisy = (g_t.categories, g_t.codes.reshape(-1), g_t.relations)
-            preds = denoiser.predict_arrays(*(x[None] for x in noisy), instruction, t)
+            preds = denoiser.predict_arrays(*(x[None] for x in noisy), None, t)
             for i, (mixture, x0, x_t, p) in enumerate(zip(mixtures, clean, noisy, preds)):
                 totals[i] += _bound_term(mixture, x0, x_t, p[0], t) / n_mc
     return (weights.category * totals[0] + weights.code * totals[1]

@@ -20,7 +20,6 @@ from .graph_diffusion import (
     KERNEL_INDEPENDENT,
     EmpiricalGraphDenoiser,
     FrozenGraph,
-    GuidanceConfig,
     build_graph_schedule,
     reverse_sample,
     reverse_sample_batch,
@@ -43,7 +42,6 @@ class GenerationConfig:
     layout_steps: int = 100
     kernel: str = KERNEL_INDEPENDENT
     leak: float = 0.01
-    guidance: GuidanceConfig = GuidanceConfig()
 
     def __post_init__(self):
         if self.graph_steps < 1 or self.layout_steps < 1:
@@ -118,8 +116,7 @@ class ScenePipeline:
         """Sample n scenes, optionally conditioned on an instruction."""
         instr = self._resolve(instruction)
         graphs = reverse_sample_batch(
-            self.graph_denoiser, self.graph_schedule, n, rng,
-            instructions=instr, guidance=self.gen.guidance,
+            self.graph_denoiser, self.graph_schedule, n, rng, instructions=instr,
         )
         layouts = reverse_sample_layout(self.layout_denoiser, graphs, self.layout_schedule,
                                         rng, n_rows=self.config.n_max)
@@ -142,8 +139,7 @@ class ScenePipeline:
             self.config.n_max,
         )
         return reverse_sample(
-            self.graph_denoiser, self.graph_schedule, rng,
-            instruction=instruction, guidance=self.gen.guidance,
+            self.graph_denoiser, self.graph_schedule, rng, instruction=instruction,
             frozen=FrozenGraph.from_graph(base, **freeze),
         )
 

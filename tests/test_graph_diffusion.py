@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from scenediff.datagen import toy_support, toy_variant_of
-from scenediff.errors import UnsatisfiableInstructionError
+from scenediff.errors import SupportError, UnsatisfiableInstructionError
 from scenediff.graph import SemanticGraph, empty_state, mask_state
 from scenediff.graph_diffusion import (
     KERNEL_GAUSSIAN,
@@ -449,8 +449,6 @@ def test_apply_cfg_validation():
         apply_cfg(np.array([0.1, 0.1]), np.array([0.3, 0.3]), 1.0)
     with pytest.raises(ValueError):
         GuidanceConfig(scale=-0.5)
-    with pytest.raises(ValueError):
-        GuidanceConfig(uncond_dropout=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +561,26 @@ def test_filter_combined_stage(toy, toy_schedule):
     with pytest.raises(UnsatisfiableInstructionError) as exc:
         den.filter_vector(conflict)
     assert exc.value.stage == "combined"
+
+
+def test_combine_filters_returns_one_mask_over_the_dataset_graphs(toy, toy_den):
+    from scenediff.instructions import instruction_matches
+
+    instr = toy.instructions[0]
+    frozen = FrozenGraph.from_graph(toy.graphs[-1], freeze_codes=True, slots=[1])
+    keeps_instr = np.array([instruction_matches(g, instr) for g in toy_den.graphs])
+    keeps_frozen = np.array([np.array_equal(g.codes[1], toy.graphs[-1].codes[1])
+                             for g in toy_den.graphs])
+    assert 0 < (keeps_instr & keeps_frozen).sum() < min(keeps_instr.sum(), keeps_frozen.sum())
+    nothing = FrozenGraph.nothing(4, 4)
+    assert toy_den.frozen_value_filter(nothing) is None
+    assert toy_den.combine_filters(None, nothing) is None
+    assert toy_den.combine_filters(Instruction(), nothing) is None
+    for got, want in ((toy_den.frozen_value_filter(frozen), keeps_frozen),
+                      (toy_den.combine_filters(None, frozen), keeps_frozen),
+                      (toy_den.combine_filters(instr, nothing), keeps_instr),
+                      (toy_den.combine_filters(instr, frozen), keeps_instr & keeps_frozen)):
+        assert got.shape == (toy_den.n_unique,) and got.tolist() == want.tolist()
 
 
 def test_filtered_prediction_restricts_support(toy, toy_schedule, toy_den):
@@ -712,9 +730,35 @@ def test_exact_denoiser_reverse_runs_all_kernels(toy):
 def test_reverse_batch_validation(toy, toy_den, toy_schedule):
     with pytest.raises(ValueError, match="at least one chain"):
         reverse_sample_batch(toy_den, toy_schedule, 0, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="one frozen spec"):
+    # One spec is shared by every chain; a list of them is not accepted.
+    with pytest.raises(TypeError, match="one FrozenGraph shared by every chain"):
         reverse_sample_batch(toy_den, toy_schedule, 3, np.random.default_rng(0),
-                             frozen=[FrozenGraph.nothing(4, 4)] * 2)
+                             frozen=[FrozenGraph.nothing(4, 4)] * 3)
+
+
+@pytest.mark.parametrize("n_slots, n_f", [(5, 4), (4, 3), (3, 4)])
+def test_frozen_spec_of_another_shape_raises(toy_den, toy_schedule, n_slots, n_f):
+    frozen = FrozenGraph.nothing(n_slots, n_f)
+    frozen.cat_mask[0] = True
+    for run in (lambda: toy_den.frozen_value_filter(frozen),
+                lambda: reverse_sample_batch(toy_den, toy_schedule, 2,
+                                             np.random.default_rng(0), frozen=frozen)):
+        with pytest.raises(ValueError, match="does not fit graphs of 4 slots with 4 codes"):
+            run()
+
+
+def test_inconsistent_frozen_slots_raise_before_the_instruction(toy, toy_den, toy_schedule):
+    bad_values = FrozenGraph.nothing(4, 4)
+    bad_values.cat_mask[0] = True
+    bad_values.cat_values[0] = 2  # no toy graph has a lamp in slot 0
+    impossible = Instruction(triplets=((2, RelationLabel.LEFT_OF, 3),))
+    with pytest.raises(UnsatisfiableInstructionError):
+        toy_den.filter_vector(impossible)
+    with pytest.raises(SupportError, match="inconsistent"):
+        reverse_sample_batch(toy_den, toy_schedule, 2, np.random.default_rng(0),
+                             instructions=impossible, frozen=bad_values)
+    with pytest.raises(SupportError, match="inconsistent"):
+        toy_den.combine_filters(impossible, bad_values)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ algebra of guidance on nested filters.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import Counter
 
 import numpy as np
@@ -46,6 +48,15 @@ def _frozen_holds(graph, frozen) -> bool:
         (graph.categories == frozen.cat_values)[frozen.cat_mask].all()
         and (graph.codes == frozen.code_values)[frozen.code_mask].all()
         and (graph.relations == frozen.rel_values)[frozen.rel_mask].all())
+
+
+def _clamped(frozen, states):
+    """The chain states with a frozen spec's slots clamped, and per kind the
+    (B, S) mask of the slots left free."""
+    masks = (frozen.cat_mask, frozen.code_mask.reshape(-1), frozen.rel_mask)
+    values = (frozen.cat_values, frozen.code_values.reshape(-1), frozen.rel_values)
+    clamped = [np.where(m, v, x) for m, v, x in zip(masks, values, states)]
+    return clamped, tuple(np.broadcast_to(~m, x.shape) for m, x in zip(masks, states))
 
 
 def _condition(bundle, case):
@@ -137,12 +148,9 @@ def test_guidance_leaves_the_exact_weights_unchanged(toy, kernel):
         w_c = den.posterior_weights(cat, code, rel, den.filter_vector(instr), t)
         pairs = [(w_c, w_u)]
         # Frozen slots hold their clean values and carry no evidence.
-        fcm, fcv, ffm, ffv, frm, frv = gd._stack_frozen(frozen, batch, den.n_slots, den.n_f)
-        cat, code, rel = np.where(fcm, fcv, cat), np.where(ffm, ffv, code), np.where(frm, frv, rel)
-        base = den.frozen_value_filter(fcm, fcv, ffm, ffv, frm, frv)
-        observe = (~fcm, ~ffm, ~frm)
-        w_u = den.posterior_weights(cat, code, rel, base, t, observe)
-        w_c = den.posterior_weights(cat, code, rel, den.combine_filters(instr, base, batch),
+        (cat, code, rel), observe = _clamped(frozen, (cat, code, rel))
+        w_u = den.posterior_weights(cat, code, rel, den.frozen_value_filter(frozen), t, observe)
+        w_c = den.posterior_weights(cat, code, rel, den.combine_filters(instr, frozen),
                                     t, observe)
         pairs.append((w_c, w_u))
         for w_c, w_u in pairs:
@@ -207,28 +215,25 @@ def test_joint_step_reads_memoized_cumulative_posterior_rows(toy, kernel):
 
 
 def _reference_reverse_sample(den, schedule, n, rng, instructions=None, frozen=None):
-    """reverse_sample_batch written out step by step: the posterior weights,
-    one _sample_rows draw of a dataset graph per chain, the direct joint
-    step per kind, and one SemanticGraph per chain."""
+    """reverse_sample_batch written out step by step: the dataset graphs that
+    satisfy the instruction and carry the frozen values, found graph by graph
+    with instruction_matches and _frozen_holds; the posterior weights over
+    them, one _sample_rows draw of a dataset graph per chain, the direct
+    joint step per kind, and one SemanticGraph per chain."""
     n_slots, n_f = den.n_slots, den.n_f
     kinds = (schedule.category, schedule.code, schedule.relation)
     widths = (n_slots, n_slots * n_f, n_slots * (n_slots - 1) // 2)
     states = [gd._initial_states(s, n, w, rng) for s, w in zip(kinds, widths)]
-    fcm, fcv, ffm, ffv, frm, frv = gd._stack_frozen(frozen, n, n_slots, n_f)
-    masks = (fcm, ffm, frm)
-    states = [np.where(m, v, x) for m, v, x in zip(masks, (fcv, ffv, frv), states)]
-    filters = observe = None
-    if instructions is not None:
-        filters = np.broadcast_to(den.filter_vector(instructions), (n, den.n_unique))
-    if frozen is not None:
-        base = den.frozen_value_filter(fcm, fcv, ffm, ffv, frm, frv)
-        filters = base if filters is None else filters & base
-        observe = tuple(~m for m in masks)
+    frozen = frozen or FrozenGraph.nothing(n_slots, n_f)
+    states, free = _clamped(frozen, states)
+    keep = np.array([_frozen_holds(g, frozen)
+                     and (instructions is None or instruction_matches(g, instructions))
+                     for g in den.graphs])
     clean = (den._ucat, den._ucode, den._urel)
     for t in range(schedule.T, 0, -1):
-        u = gd._sample_rows(den.posterior_weights(*states, filters, t, observe), rng)
-        states = [_direct_joint_step(x, c[u], s, t, rng, np.flatnonzero(~m.reshape(-1)))
-                  for x, c, s, m in zip(states, clean, kinds, masks)]
+        u = gd._sample_rows(den.posterior_weights(*states, keep, t, free), rng)
+        states = [_direct_joint_step(x, c[u], s, t, rng, np.flatnonzero(f))
+                  for x, c, s, f in zip(states, clean, kinds, free)]
     cat, code, rel = states
     return [SemanticGraph(cat[b], code[b].reshape(n_slots, n_f), rel[b],
                           k_c=den.k_c, k_f=den.k_f, k_e=den.k_e) for b in range(n)]
@@ -272,6 +277,67 @@ def test_sampler_matches_the_reference_loop(toy, kernel, case, batch):
     assert len(got) == batch
     assert [g.key() for g in got] == [g.key() for g in want]
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+# sha256 of the graph keys of a 1-chain and then a 50-chain call on one
+# generator, followed by the generator's final state. A change to the
+# sampler that keeps every draw leaves these as they are.
+SAMPLER_DIGESTS = {
+    "independent-mask/unconditional":
+        "c3c355b7d603fde02b153c39f109db8ac1ff5c646a46d497b4270d5514a9cd1f",
+    "independent-mask/instruction":
+        "c5416c61dbb3a3dc9a6cbd047998c6e2f2b50b2ba8a41e5c1e0f42d6add70a8d",
+    "independent-mask/complete":
+        "6ac8cff090c4a572880f6b3823c4d96bbdffc5b567c25cf997ca4af97dd998b6",
+    "independent-mask/rearrange":
+        "662f61721fb46a2b8b224e2ebcd5620745c9b56eaeada3d7a9e7d467afa11b1b",
+    "independent-mask/stylize":
+        "bc6fb9879db11a758865ded779cf38b0b83a08f32fca0dc96b0cc47b04b611bc",
+    "uniform/unconditional":
+        "d3e14514eede3f462de508505152e79ed0be090966b4041c9b8ab739d6151fdc",
+    "uniform/instruction":
+        "74603dce085f7d62a96b4fc87e2cd7b87e7bb8b468328f08ddd2a4f8b6fa0471",
+    "uniform/complete":
+        "892b19db567f8f265a107a88f4d4e4c3c832e6f19795fd3bf253c855c1202f65",
+    "uniform/rearrange":
+        "bd1f4410ac3306743b83cffd13881210c24941983ca7871befb8006355c383fc",
+    "uniform/stylize":
+        "65a427b3f0fd7d638ab84a7fd95618233b38eb4b442390ccdb9ff03505128bf4",
+    "joint-mask/unconditional":
+        "30b3f57c18a4862243e1e04d454730f0caf1e649f187da1c0978258d93f0d8f5",
+    "joint-mask/instruction":
+        "c090a0a9c494b08f9c4e1f0feb5bd10d9a0b5a9708d28843a64079f2d10fa617",
+    "joint-mask/complete":
+        "a7f8634c1bdedbc9567da14eca8ae79e0a6a6edcbbd1e1eef678026b62555df5",
+    "joint-mask/rearrange":
+        "98744db69a6f80aa6654b46ee438bc2990f91f0e8a3aa71c7314d584c1d42ed4",
+    "joint-mask/stylize":
+        "bc46dea8ed654741b2a5f5e6fd9af9c832f91a5810c125aaed03e8d0f1aa03c9",
+    "gaussian-embedding/unconditional":
+        "f480b3ae01dca1e72bee7cb321a6de8273728b562bf3e12877b4dcc8854ad4f7",
+    "gaussian-embedding/instruction":
+        "407082c97f2dbe176d1f2a051e9fe74484a0d7acb4f9feeda3d031b8404cf5b6",
+    "gaussian-embedding/complete":
+        "effb240758d9c52d3ae4b8bd8c6d0fef9bab433de2e20d6367453405baef3c4a",
+    "gaussian-embedding/rearrange":
+        "b335bc17f964e375ee1433f7c498b74909cce8ef07b9105b059ed739a9a4d388",
+    "gaussian-embedding/stylize":
+        "8dbef01191cd4b6920922a462286b5103ba87e1199e6755613ba8d052f0b495a",
+}
+
+
+@pytest.mark.parametrize("case", SAMPLER_CASES)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_sampler_outputs_match_their_pinned_digests(toy, kernel, case):
+    schedule = build_graph_schedule(toy.config, T, kernel)
+    den = EmpiricalGraphDenoiser(toy.graphs, schedule)
+    rng = np.random.default_rng([KERNELS.index(kernel), SAMPLER_CASES.index(case)])
+    digest = hashlib.sha256()
+    for batch in (1, 50):
+        graphs = reverse_sample_batch(den, schedule, batch, rng, **_sampler_case(toy, case))
+        digest.update(b"".join(g.key() for g in graphs))
+    digest.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+    assert digest.hexdigest() == SAMPLER_DIGESTS[f"{kernel}/{case}"]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -554,7 +554,6 @@ def test_cli_make_dataset_retries_the_codebook_fit(tmp_path, seed, n_scenes):
     pytest.param("uncond", "--layout-steps", "0", id="--layout-steps"),
     pytest.param("uncond", "--seed", "-1", id="--seed"),
     pytest.param("uncond", "--leak", "-1", id="--leak"),
-    pytest.param("uncond", "--guidance-scale", "-1", id="--guidance-scale"),
     pytest.param("uncond", "SCENEDIFF_SEED", "-1", id="SCENEDIFF_SEED"),
     pytest.param("schedule-dump", "--steps", "0", id="schedule-dump:--steps"),
     pytest.param("schedule-dump", "--leak", "-1", id="schedule-dump:--leak"),
@@ -563,7 +562,7 @@ def test_cli_make_dataset_retries_the_codebook_fit(tmp_path, seed, n_scenes):
 ])
 def test_cli_rejects_a_zero_count_as_usage_error(tmp_path, bundle_dir, command, option,
                                                   value):
-    # Counts below 1 and negative seeds, leaks and guidance scales.
+    # Counts below 1 and negative seeds and leaks.
     out = tmp_path / "x.json"
     args = {"uncond": ["--bundle", bundle_dir, *FAST], "schedule-dump": ["--bundle", bundle_dir],
             "make-dataset": ["--family", "random"]}[command]
@@ -575,6 +574,17 @@ def test_cli_rejects_a_zero_count_as_usage_error(tmp_path, bundle_dir, command, 
     assert res.exit_code == 2
     assert expect in res.stderr
     assert "Traceback" not in res.output
+    assert not out.exists()
+
+
+def test_cli_has_no_guidance_option(tmp_path, bundle_dir):
+    # Guidance changes no sample of the exact denoiser, so the sampling
+    # commands offer no option for it.
+    out = tmp_path / "x.json"
+    res = CliRunner().invoke(main, ["uncond", "--bundle", bundle_dir, *FAST,
+                                    "--guidance-scale", "1", "--out", str(out)])
+    assert res.exit_code == 2
+    assert "No such option" in res.stderr and "--guidance-scale" in res.stderr
     assert not out.exists()
 
 

@@ -7,7 +7,6 @@ import pytest
 from scenediff.datagen import toy_variant_of
 from scenediff.errors import UnsatisfiableInstructionError
 from scenediff.graph import derive_semantic_graph, pad_graph
-from scenediff.graph_diffusion import GuidanceConfig
 from scenediff.instructions import (
     Instruction,
     StyleConstraint,
@@ -70,8 +69,6 @@ def test_generation_config_validation():
         GenerationConfig(graph_steps=0)
     with pytest.raises(ValueError):
         GenerationConfig(layout_steps=0)
-    with pytest.raises(ValueError):
-        GenerationConfig(guidance=GuidanceConfig(scale=-1.0))
 
 
 # ---------------------------------------------------------------------------
