@@ -32,7 +32,7 @@ import numpy as np
 from .config import SceneConfig
 from .errors import SupportError, UnsatisfiableInstructionError
 from .graph import SemanticGraph, empty_state, mask_state
-from .instructions import Instruction, instruction_matches
+from .instructions import Instruction, instruction_match_stages
 from .layout_diffusion import cosine_alpha_bar
 from .relations import n_pairs, pair_slots
 
@@ -49,6 +49,9 @@ TERMINAL_MASK_MIN = 0.999
 # and the finite stand-in for log 0 in its tables.
 _LIKELIHOOD_CHUNK_BYTES = 1 << 20
 _LOG_IMPOSSIBLE = -1e300
+# Uniforms per rng.random call when reverse_sample_batch skips its steps
+# (512 KiB of float64).
+_DISCARD_PIECE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -371,12 +374,15 @@ def _sample_rows(probs: np.ndarray, rng: np.random.Generator,
 
 def _sample_cdf(cdf: np.ndarray, rng: np.random.Generator,
                 error: str = "a sampling row has zero total mass") -> np.ndarray:
-    """_sample_rows on the rows' cumulative sums, laid out (states, rows)."""
+    """_sample_rows on the rows' cumulative sums, laid out (states, rows).
+
+    A row draws the first entry whose cumulative sum exceeds u, which has
+    weight even when u is 0; u < total keeps it in range."""
     totals = cdf[-1]
     if (totals <= 0.0).any():
         raise ValueError(error)
     u = rng.random(cdf.shape[1]) * totals
-    return (cdf < u).sum(axis=0, dtype=np.int64)
+    return (cdf <= u).sum(axis=0, dtype=np.int64)
 
 
 def true_posterior(x_t: int, x0: int, t: int, schedule: MaskSchedule) -> np.ndarray:
@@ -609,7 +615,8 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
         return len(self.graphs)
 
     def filter_vector(self, instruction: Instruction | None) -> np.ndarray | None:
-        """Boolean mask of dataset graphs matching an instruction.
+        """Boolean mask of dataset graphs matching an instruction, found in
+        one pass over the label tables and cached per instruction.
 
         Raises UnsatisfiableInstructionError when the filter empties the
         dataset, naming the first constraint stage that did it.
@@ -619,17 +626,13 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
         cached = self._filter_cache.get(instruction)
         if cached is not None:
             return cached
-        mask = np.array([instruction_matches(g, instruction) for g in self.graphs])
+        codes = self._ucode.reshape(self.n_unique, self.n_slots, self.n_f)
+        triplets, style = instruction_match_stages(self._ucat, codes, self._urel,
+                                                   instruction, self.k_c)
+        mask = triplets & style
         if not mask.any():
-            stage = "combined"
-            if instruction.triplets:
-                trip_only = Instruction(triplets=instruction.triplets)
-                if not any(instruction_matches(g, trip_only) for g in self.graphs):
-                    stage = "triplets"
-            if stage == "combined" and instruction.style is not None:
-                style_only = Instruction(style=instruction.style)
-                if not any(instruction_matches(g, style_only) for g in self.graphs):
-                    stage = "style"
+            stage = ("triplets" if not triplets.any() else
+                     "style" if not style.any() else "combined")
             raise UnsatisfiableInstructionError(
                 f"no dataset graph satisfies the instruction (failed stage: {stage})",
                 stage=stage,
@@ -825,6 +828,14 @@ def _initial_states(schedule: MaskSchedule, rows: int, cols: int,
     return rng.integers(states, size=(rows, cols), dtype=np.int64)
 
 
+def _discard_uniforms(rng: np.random.Generator, n: int) -> None:
+    """Advance ``rng`` exactly as n draws of ``rng.random`` would, drawing
+    pieces of at most _DISCARD_PIECE values into one buffer."""
+    buf = np.empty(min(n, _DISCARD_PIECE))
+    for lo in range(0, n, _DISCARD_PIECE):
+        rng.random(out=buf[: min(_DISCARD_PIECE, n - lo)])
+
+
 def _reverse_step_kind(states: np.ndarray, px0: np.ndarray, schedule: MaskSchedule,
                        t: int, rng: np.random.Generator, free: np.ndarray) -> np.ndarray:
     """Advance one kind's state matrix from time t to t - 1.
@@ -893,6 +904,13 @@ def reverse_sample_batch(denoiser: GraphDenoiser, schedule: GraphSchedule,
     hypotheses and renormalized, and apply_cfg on such a pair returns the
     conditional weights for every scale, so no unconditional pass is made.
 
+    A call whose mask leaves one dataset graph (a stylize, or a dataset of
+    one graph) returns that graph for every chain without stepping, since the
+    steps can end nowhere else. It advances ``rng`` exactly as the steps
+    would, by drawing and discarding their uniforms, so its graphs and the
+    generator's state are the loop's. It makes no predict_arrays or
+    log_likelihood calls, so a trace of it holds no spans of either.
+
     Any other denoiser takes no frozen slots and the factorized step: each
     slot draws from its own per-slot mixture of posteriors, and guidance
     with a positive scale mixes in a second, unconditional prediction.
@@ -922,6 +940,21 @@ def reverse_sample_batch(denoiser: GraphDenoiser, schedule: GraphSchedule,
     free_cat, free_code, free_rel = (np.flatnonzero(s) for s in seen)
     observe = tuple(seen) if clamped else None
     filters = denoiser.combine_filters(instructions, frozen) if joint else instructions
+    live = () if not joint else (
+        range(denoiser.n_unique) if filters is None else np.flatnonzero(filters))
+    if len(live) == 1:
+        # Only graph h has weight, so every step draws h for every chain and
+        # moves each free slot by q(x_{t-1} | x_t, x_0 = h), and t = 1 is a
+        # point mass on h's labels: every chain ends on h. Fail where the
+        # first step would, then draw and discard what the steps would draw.
+        h = live[0]
+        clean = (denoiser._ucat[h], denoiser._ucode[h], denoiser._urel[h])
+        if any((s.qbar[schedule.T][x, c] <= 0.0)[o].any()
+               for s, x, c, o in zip(kinds, (cat, code, rel), clean, seen)):
+            raise SupportError("a chain state has zero likelihood under every dataset graph")
+        _discard_uniforms(rng, schedule.T * (n_chains + free_cat.size + free_code.size
+                                             + free_rel.size))
+        return [denoiser.graphs[h]] * n_chains
 
     draw, step = ({"rng": rng}, _joint_step_kind) if joint else ({}, _reverse_step_kind)
     for t in range(schedule.T, 0, -1):

@@ -259,3 +259,32 @@ def instruction_matches(graph: SemanticGraph, instr: Instruction) -> bool:
         if not (graph.codes[slots] == target[None, :]).all():
             return False
     return True
+
+
+def instruction_match_stages(categories: np.ndarray, codes: np.ndarray, relations: np.ndarray,
+                             instr: Instruction, k_c: int) -> tuple[np.ndarray, np.ndarray]:
+    """instruction_matches over a table of clean graphs, one per row, split
+    into its two stages.
+
+    categories (U, n), codes (U, n, n_f) and relations (U, P) hold the
+    graphs' labels. Returns two boolean (U,) arrays: the rows that realize
+    every triplet, and the rows that meet the style constraint. A stage the
+    instruction leaves out passes every row.
+    """
+    j, k = pair_slots(categories.shape[1])
+    cj, ck = categories[:, j], categories[:, k]
+    live = (cj < k_c) & (ck < k_c)
+    inverted = inverse_relations(relations)
+    triplets = np.ones(categories.shape[0], dtype=bool)
+    for subject, rel, obj in instr.triplets:
+        hit = (((cj == subject) & (ck == obj) & (relations == rel))
+               | ((ck == subject) & (cj == obj) & (inverted == rel)))
+        triplets &= (hit & live).any(axis=1)
+    style = np.ones_like(triplets)
+    if instr.style is not None:
+        slots = categories < k_c
+        if instr.style.category is not None:
+            slots &= categories == instr.style.category
+        on_style = (codes == np.asarray(instr.style.codes, dtype=np.int64)).all(axis=2)
+        style = slots.any(axis=1) & (on_style | ~slots).all(axis=1)
+    return triplets, style

@@ -48,7 +48,7 @@ from scenediff.graph_diffusion import (
     uniform_schedule_from_stays,
     variational_bound,
 )
-from scenediff.instructions import Instruction, StyleConstraint
+from scenediff.instructions import Instruction, StyleConstraint, instruction_matches
 from scenediff.relations import RelationLabel
 
 
@@ -548,6 +548,77 @@ def test_filter_vector_and_stages(toy, toy_schedule, toy_den):
     with pytest.raises(UnsatisfiableInstructionError) as exc:
         toy_den.filter_vector(unknown_style)
     assert exc.value.stage == "style"
+
+
+def _filter_oracle(graphs, instr):
+    """filter_vector's mask and failed stage (None when the mask keeps a
+    graph), found graph by graph with instruction_matches."""
+    mask = np.array([instruction_matches(g, instr) for g in graphs])
+    if mask.any():
+        return mask, None
+    if instr.triplets and not any(instruction_matches(g, Instruction(triplets=instr.triplets))
+                                  for g in graphs):
+        return mask, "triplets"
+    if instr.style is not None and not any(instruction_matches(g, Instruction(style=instr.style))
+                                           for g in graphs):
+        return mask, "style"
+    return mask, "combined"
+
+
+def _assert_filter_matches_oracle(den, instr):
+    mask, stage = _filter_oracle(den.graphs, instr)
+    if stage is None:
+        got = den.filter_vector(instr)
+        assert got.dtype == bool and got.tolist() == mask.tolist(), instr
+        assert den.filter_vector(instr) is got  # cached per instruction
+    else:
+        with pytest.raises(UnsatisfiableInstructionError) as exc:
+            den.filter_vector(instr)
+        assert exc.value.stage == stage, instr
+    return stage
+
+
+def test_filter_vector_matches_instruction_matches_on_toy(toy, toy_schedule):
+    den = EmpiricalGraphDenoiser(toy.graphs, toy_schedule)
+    config = toy.config
+    styles = [StyleConstraint(codes=config.style_signature(name), category=c)
+              for name in config.style_names for c in (None, *range(config.k_c))]
+    stages = set()
+    for instr in toy.instructions:
+        stages.add(_assert_filter_matches_oracle(den, instr))
+        for style in styles:
+            stages.add(_assert_filter_matches_oracle(
+                den, Instruction(triplets=instr.triplets, style=style)))
+    assert stages == {None, "style", "combined"}
+
+
+def test_filter_vector_matches_instruction_matches_on_random_instructions():
+    from scenediff.config import SceneConfig
+    from scenediff.datagen import generate_dataset
+
+    config = SceneConfig(category_names=("table", "chair", "lamp", "shelf", "sofa", "desk"),
+                         k_f=3, n_f=4, n_max=6, d=16, style_names=("oak", "walnut", "steel"))
+    bundle = generate_dataset(config, 150, seed=4)
+    config = bundle.config  # with the fitted style signatures
+    den = EmpiricalGraphDenoiser(bundle.graphs, build_graph_schedule(config, 10))
+    rng = np.random.default_rng(13)
+    stages = set()
+    for _ in range(150):
+        triplets = tuple((int(rng.integers(config.k_c)), RelationLabel(int(rng.integers(10))),
+                          int(rng.integers(config.k_c)))
+                         for _ in range(int(rng.integers(3))))
+        style = None
+        if rng.random() < 0.6:
+            codes = (config.style_codes[int(rng.integers(3))] if rng.random() < 0.7
+                     else tuple(int(c) for c in rng.integers(config.k_f, size=config.n_f)))
+            category = int(rng.integers(config.k_c)) if rng.random() < 0.5 else None
+            style = StyleConstraint(codes=codes, category=category)
+        instr = Instruction(triplets=triplets, style=style)
+        if instr.is_unconditional():
+            assert den.filter_vector(instr) is None
+            continue
+        stages.add(_assert_filter_matches_oracle(den, instr))
+    assert stages == {None, "triplets", "style", "combined"}
 
 
 def test_filter_combined_stage(toy, toy_schedule):

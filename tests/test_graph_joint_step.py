@@ -20,6 +20,7 @@ import pytest
 from scenediff import graph_diffusion as gd
 from scenediff.config import SceneConfig
 from scenediff.datagen import generate_dataset
+from scenediff.errors import SupportError
 from scenediff.evaluation import tv_distance
 from scenediff.graph_diffusion import (
     KERNELS,
@@ -240,11 +241,16 @@ def _reference_reverse_sample(den, schedule, n, rng, instructions=None, frozen=N
 
 
 def _sampler_case(bundle, case):
-    """Sampler keywords: no filter, an instruction, or the frozen slots and
-    instruction of one of the pipeline's three edits of a dataset graph."""
+    """Sampler keywords: no filter, an instruction, the frozen slots and
+    instruction of one of the pipeline's three edits of a dataset graph, or
+    an instruction that one toy graph alone satisfies."""
     graph = bundle.graphs[0]
     if case == "instruction":
         return {"instructions": bundle.instructions[2]}
+    if case == "pinned-instruction":
+        oak = StyleConstraint(codes=bundle.config.style_signature("oak"))
+        return {"instructions": Instruction(triplets=bundle.instructions[7].triplets,
+                                            style=oak)}
     if case == "complete":
         return {"frozen": FrozenGraph.from_graph(graph, freeze_categories=True,
                                                  freeze_codes=True, freeze_relations=True,
@@ -260,7 +266,8 @@ def _sampler_case(bundle, case):
     return {}
 
 
-SAMPLER_CASES = ("unconditional", "instruction", "complete", "rearrange", "stylize")
+SAMPLER_CASES = ("unconditional", "instruction", "complete", "rearrange", "stylize",
+                 "pinned-instruction")
 
 
 @pytest.mark.parametrize("batch", [1, 7, 300])
@@ -293,6 +300,8 @@ SAMPLER_DIGESTS = {
         "662f61721fb46a2b8b224e2ebcd5620745c9b56eaeada3d7a9e7d467afa11b1b",
     "independent-mask/stylize":
         "bc6fb9879db11a758865ded779cf38b0b83a08f32fca0dc96b0cc47b04b611bc",
+    "independent-mask/pinned-instruction":
+        "9d2487a0718d54a6fe2d338e27508bd8d5ce69e1051d46ce98d1d7383d0a1916",
     "uniform/unconditional":
         "d3e14514eede3f462de508505152e79ed0be090966b4041c9b8ab739d6151fdc",
     "uniform/instruction":
@@ -303,6 +312,8 @@ SAMPLER_DIGESTS = {
         "bd1f4410ac3306743b83cffd13881210c24941983ca7871befb8006355c383fc",
     "uniform/stylize":
         "65a427b3f0fd7d638ab84a7fd95618233b38eb4b442390ccdb9ff03505128bf4",
+    "uniform/pinned-instruction":
+        "e71a89b80f99fda9a50d4b362b9fa6a06b37fcc6301cebe34f2c185b675a1d40",
     "joint-mask/unconditional":
         "30b3f57c18a4862243e1e04d454730f0caf1e649f187da1c0978258d93f0d8f5",
     "joint-mask/instruction":
@@ -313,6 +324,8 @@ SAMPLER_DIGESTS = {
         "98744db69a6f80aa6654b46ee438bc2990f91f0e8a3aa71c7314d584c1d42ed4",
     "joint-mask/stylize":
         "bc46dea8ed654741b2a5f5e6fd9af9c832f91a5810c125aaed03e8d0f1aa03c9",
+    "joint-mask/pinned-instruction":
+        "1a09549ace63a188c853f79534da6426a51c1663dcc0fd049cbcbf3cb157c028",
     "gaussian-embedding/unconditional":
         "f480b3ae01dca1e72bee7cb321a6de8273728b562bf3e12877b4dcc8854ad4f7",
     "gaussian-embedding/instruction":
@@ -323,6 +336,8 @@ SAMPLER_DIGESTS = {
         "b335bc17f964e375ee1433f7c498b74909cce8ef07b9105b059ed739a9a4d388",
     "gaussian-embedding/stylize":
         "8dbef01191cd4b6920922a462286b5103ba87e1199e6755613ba8d052f0b495a",
+    "gaussian-embedding/pinned-instruction":
+        "cfa29946154be03f0402f5d28f0e409f657ca12b4a496132e5961320d41335b8",
 }
 
 
@@ -338,6 +353,71 @@ def test_sampler_outputs_match_their_pinned_digests(toy, kernel, case):
         digest.update(b"".join(g.key() for g in graphs))
     digest.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
     assert digest.hexdigest() == SAMPLER_DIGESTS[f"{kernel}/{case}"]
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the sampler stepped a call with one live hypothesis")
+
+
+@pytest.mark.parametrize("batch", [1, 7, 300])
+@pytest.mark.parametrize("case", ["stylize", "pinned-instruction"])
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_one_live_hypothesis_returns_it_without_stepping(toy, kernel, case, batch,
+                                                         monkeypatch):
+    schedule = build_graph_schedule(toy.config, T, kernel)
+    den = EmpiricalGraphDenoiser(toy.graphs, schedule)
+    kwargs = _sampler_case(toy, case)
+    frozen = kwargs.get("frozen") or FrozenGraph.nothing(den.n_slots, den.n_f)
+    live = np.flatnonzero(den.combine_filters(kwargs.get("instructions"), frozen))
+    assert live.size == 1
+    seed = [KERNELS.index(kernel), batch, 13]
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _reference_reverse_sample(den, schedule, batch, want_rng, **kwargs)
+    for name in ("predict_arrays", "posterior_weights", "log_likelihood"):
+        monkeypatch.setattr(EmpiricalGraphDenoiser, name, _never_called)
+    got = reverse_sample_batch(den, schedule, batch, got_rng, **kwargs)
+    assert [g.key() for g in got] == [g.key() for g in want]
+    assert all(g is den.graphs[live[0]] for g in got)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("batch", [1, 7, 300])
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_one_graph_dataset_matches_the_reference_loop(toy, kernel, batch):
+    schedule = build_graph_schedule(toy.config, T, kernel)
+    den = EmpiricalGraphDenoiser([toy.graphs[0]], schedule)
+    seed = [KERNELS.index(kernel), batch, 1]
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _reference_reverse_sample(den, schedule, batch, want_rng)
+    got = reverse_sample_batch(den, schedule, batch, got_rng)
+    assert [g.key() for g in got] == [g.key() for g in want] == [toy.graphs[0].key()] * batch
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_one_live_hypothesis_fails_where_the_first_step_would(toy, kernel):
+    # With freeze_empty the empty label never corrupts, so no dataset graph
+    # with an empty slot explains the initial state; the loop's first step
+    # raises, and so does a call that skips the steps.
+    schedule = build_graph_schedule(toy.config, T, kernel, freeze_empty=True)
+    den = EmpiricalGraphDenoiser([toy.graphs[0]], schedule)
+    assert (toy.graphs[0].categories == toy.config.k_c).any()
+    for sample in (_reference_reverse_sample, reverse_sample_batch):
+        with pytest.raises(SupportError):
+            sample(den, schedule, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
+def test_discarded_uniforms_advance_the_generator_as_one_draw(bit_generator):
+    for n in (0, 5, gd._DISCARD_PIECE, 2 * gd._DISCARD_PIECE + 3):
+        want, got = (np.random.Generator(bit_generator(7)) for _ in range(2))
+        want.random(n)
+        gd._discard_uniforms(got, n)
+        # MT19937 keeps its key as an array, so compare the states as JSON.
+        assert (json.dumps(got.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
+                == json.dumps(want.bit_generator.state, sort_keys=True,
+                              default=np.ndarray.tolist))
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

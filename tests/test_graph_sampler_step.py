@@ -125,3 +125,15 @@ def test_reverse_step_matches_the_value_loop(toy, kernel, batch):
                         fresh = np.random.default_rng(seed).bit_generator.state
                         assert got_rng.bit_generator.state == fresh
                         assert np.array_equal(got, states)
+
+
+class _ZeroUniforms:
+    """A generator whose every uniform is exactly 0.0."""
+
+    def random(self, size=None):
+        return np.zeros(size)
+
+
+def test_a_zero_uniform_draws_the_first_entry_with_weight():
+    probs = np.array([[0.0, 0.0, 0.6, 0.4], [0.5, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    assert gd._sample_rows(probs, _ZeroUniforms()).tolist() == [2, 0, 1]
