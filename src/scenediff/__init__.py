@@ -22,6 +22,7 @@ from .errors import (
     FormatError,
     InstructionParseError,
     MissingStyleCodesError,
+    OutputError,
     SceneDiffError,
     SupportError,
     UnknownStyleError,

@@ -6,8 +6,8 @@ invocation with the same arguments produces byte-identical files. Exit codes:
 0 on success, 2 on bad arguments or unparsable instructions (click's usage
 failure), 3 when an instruction is well formed but unsatisfiable, 4 on any
 other SceneDiffError (a sampler state outside the dataset's support, a
-dataset that could not be built, a malformed scene or bundle file), reported
-as one ``error:`` line.
+dataset that could not be built, a malformed scene or bundle file, an output
+path that cannot be written), reported as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .scene_io import (
     load_scenes,
     save_bundle,
     save_scenes,
+    write_text,
 )
 from .svg_render import render_svg
 
@@ -235,7 +236,7 @@ def eval_cmd(bundle_dir, scenes_path, instruction, out):
                              text=instruction)
     click.echo(report.to_json())
     if out is not None:
-        Path(out).write_text(report.to_json() + "\n")
+        write_text(out, report.to_json() + "\n")
 
 
 @main.command("render-svg")
@@ -248,7 +249,7 @@ def render_svg_cmd(bundle_dir, scenes_path, index, out):
     """Render one saved scene to a top-down SVG."""
     bundle = load_bundle(Path(bundle_dir))
     scene = _pick_scene(scenes_path, index, bundle.config)
-    Path(out).write_text(render_svg(scene, bundle.config))
+    write_text(out, render_svg(scene, bundle.config))
     click.echo(f"wrote {out}")
 
 

@@ -47,5 +47,11 @@ class FormatError(SceneDiffError, ValueError):
     does not hold the records the readers expect."""
 
 
+class OutputError(SceneDiffError, OSError):
+    """A scene file, bundle or other output cannot be written to its path:
+    a missing parent directory, a directory where a file goes, or a file
+    where the bundle directory goes."""
+
+
 class DatasetError(SceneDiffError, RuntimeError):
     """Dataset generation could not build a consistent bundle."""

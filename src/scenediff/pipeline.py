@@ -93,11 +93,17 @@ class ScenePipeline:
             return instruction
         raise TypeError("instruction must be None, text, or an Instruction")
 
-    def _object_from_slot(self, slot: int, graph: SemanticGraph,
-                          layout_row: np.ndarray) -> ObjectInstance:
+    def _object_from_slot(self, slot: int, graph: SemanticGraph, layout_row: np.ndarray,
+                          assets: dict) -> ObjectInstance:
+        """The object a slot decodes to. ``assets`` memoises retrieval, a pure
+        function of (category, codes), across the slots of one call."""
         category = int(graph.categories[slot])
-        asset = retrieve_object(category, graph.codes[slot], self.bundle.library,
-                                self.bundle.codebook)
+        codes = graph.codes[slot]
+        key = (category, codes.tobytes())
+        asset = assets.get(key)
+        if asset is None:
+            asset = assets[key] = retrieve_object(category, codes, self.bundle.library,
+                                                  self.bundle.codebook)
         location, size, rotation = layout_row_to_pose(layout_row)
         return ObjectInstance(
             category=category,
@@ -120,9 +126,10 @@ class ScenePipeline:
         )
         layouts = reverse_sample_layout(self.layout_denoiser, graphs, self.layout_schedule,
                                         rng, n_rows=self.config.n_max)
+        assets: dict = {}
         return [
             Scene(id=f"{id_prefix}-{i:04d}", objects=tuple(
-                self._object_from_slot(s, g, layout[s]) for s in self._real_slots(g)))
+                self._object_from_slot(s, g, layout[s], assets) for s in self._real_slots(g)))
             for i, (g, layout) in enumerate(zip(graphs, layouts))
         ]
 
@@ -163,7 +170,7 @@ class ScenePipeline:
                                        n_rows=self.config.n_max,
                                        frozen_rows={i: original[i] for i in range(n0)})
         objects = tuple(
-            scene.objects[s] if s < n0 else self._object_from_slot(s, graph, layout[s])
+            scene.objects[s] if s < n0 else self._object_from_slot(s, graph, layout[s], {})
             for s in self._real_slots(graph)
         )
         return Scene(id=scene_id or f"{scene.id}-completed", objects=objects)

@@ -6,10 +6,11 @@ from the scenes, in one batched pass (``derive_graphs_and_layouts``: one
 quantizer call per chunk of scenes, padded arrays written directly), and
 nothing of it is kept from one load to the next. That keeps the stored form
 small and guarantees the loaded bundle is self-consistent. All writers sort
-keys and end with a newline, so equal inputs produce byte-identical files.
-The readers raise FormatError on a file that is not JSON or lacks a record
-they need, on a bundle directory that lacks one of its files, and on a
-bundle whose scenes do not fit its config.
+keys and end with a newline, so equal inputs produce byte-identical files;
+a path they cannot write raises OutputError. The readers raise FormatError
+on a file that is not JSON or lacks a record they need, on a bundle
+directory that lacks one of its files, and on a bundle whose scenes do not
+fit its config.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .config import SceneConfig
 from .datagen import Asset, AssetLibrary, DatasetBundle, derive_graphs_and_layouts
-from .errors import FormatError, SceneDiffError
+from .errors import FormatError, OutputError, SceneDiffError
 from .instructions import Instruction, StyleConstraint
 from .quantizer import Codebook
 from .relations import RelationLabel
@@ -32,8 +33,17 @@ BUNDLE_FILES = ("config.json", "codebook.json", "library.json", "scenes.json",
                 "instructions.json")
 
 
+def write_text(path: Path | str, text: str) -> None:
+    """Write ``text`` to ``path``; OutputError, naming the path, when the
+    file cannot be written (a missing parent directory, a directory there)."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def dump_json(payload, path: Path | str) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_json(path: Path | str):
@@ -85,11 +95,72 @@ def scene_from_dict(data: dict) -> Scene:
         raise FormatError(f"malformed scene record: {exc}") from exc
 
 
+# Templates of json.dumps(..., indent=2, sort_keys=True) for one scene and
+# one object at their depth in a scene file: keys in sorted order, one item
+# per line, nested levels two spaces deeper.
+_SCENE = '{{\n      "id": {},\n      "objects": [\n        {}\n      ]\n    }}'
+_OBJECTS_SEP = ",\n        "
+_OBJECT = (
+    '{{\n'
+    '          "asset_id": {},\n'
+    '          "category": {},\n'
+    '          "feature": {},\n'
+    '          "location": [\n            {},\n            {},\n            {}\n          ],\n'
+    '          "rotation": {},\n'
+    '          "size": [\n            {},\n            {},\n            {}\n          ]\n'
+    '        }}'
+)
+_FEATURE_SEP = ",\n            "
+# float.__repr__ of the values json writes as its non-finite literals.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
 def save_scenes(scenes, path: Path | str, *, meta: dict | None = None) -> None:
-    payload = {"scenes": [scene_to_dict(s) for s in scenes]}
+    """Write scenes, and ``meta`` when it is truthy, to a scene file.
+
+    The file's bytes equal ``json.dumps(payload, indent=2, sort_keys=True)``
+    plus a newline, where payload is ``{"scenes": [scene_to_dict(s) ...]}``
+    with ``"meta": meta`` added when meta is truthy; ``scene_to_dict`` is
+    the reference the tests compare against. The text is built from
+    fixed templates instead, because json falls back to its pure-Python
+    encoder whenever ``indent`` is set. Each distinct feature vector is
+    formatted once per call (keyed by its bytes, so -0.0 and 0.0 stay
+    apart). OutputError when the path cannot be written.
+    """
+    features: dict[bytes, str] = {}
+
+    def object_text(obj: ObjectInstance) -> str:
+        key = obj.feature.tobytes()
+        feature = features.get(key)
+        if feature is None:
+            values = obj.feature.tolist()
+            feature = features[key] = (
+                f"[\n            {_FEATURE_SEP.join(map(_float_text, values))}\n          ]"
+                if values else "[]")
+        return _OBJECT.format(json.dumps(obj.asset_id), int(obj.category), feature,
+                              *map(_float_text, obj.location), _float_text(obj.rotation),
+                              *map(_float_text, obj.size))
+
+    scene_texts = [
+        _SCENE.format(json.dumps(scene.id),
+                      _OBJECTS_SEP.join(map(object_text, scene.objects)))
+        for scene in scenes
+    ]
+    parts = ["{\n"]
     if meta:
-        payload["meta"] = meta
-    dump_json(payload, path)
+        # JSON strings hold no raw newline, so each newline starts a line to indent.
+        meta_text = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+        parts.append(f'  "meta": {meta_text},\n')
+    if scene_texts:
+        parts += ['  "scenes": [\n    ', ",\n    ".join(scene_texts), "\n  ]\n}\n"]
+    else:
+        parts.append('  "scenes": []\n}\n')
+    write_text(path, "".join(parts))
 
 
 def load_scenes(path: Path | str) -> list[Scene]:
@@ -160,7 +231,11 @@ def config_from_dict(data: dict) -> SceneConfig:
 
 def save_bundle(bundle: DatasetBundle, directory: Path | str) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create bundle directory {directory}: "
+                          f"{exc.strerror or exc}") from exc
     dump_json(config_to_dict(bundle.config), directory / "config.json")
     dump_json(
         {"entries": [[float(v) for v in row] for row in bundle.codebook.entries],

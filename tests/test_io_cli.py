@@ -3,18 +3,25 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import errno
 import json
+import math
+import os
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenediff import datagen
 from scenediff.cli import main
-from scenediff.datagen import AssetLibrary
+from scenediff.config import SceneConfig
+from scenediff.datagen import AssetLibrary, generate_dataset
 from scenediff.errors import (
     FormatError,
     MissingStyleCodesError,
+    OutputError,
     SceneDiffError,
     UnknownStyleError,
     VocabularyError,
@@ -23,8 +30,9 @@ from scenediff.evaluation import scene_satisfies
 from scenediff.graph import derive_semantic_graph, pad_graph
 from scenediff.graph_diffusion import build_graph_schedule, schedule_to_json
 from scenediff.instructions import Instruction, parse_instruction, render_instruction
+from scenediff.pipeline import GenerationConfig, ScenePipeline
 from scenediff.relations import RelationLabel
-from scenediff.scene import Scene
+from scenediff.scene import ObjectInstance, Scene
 from scenediff.scene_io import (
     config_from_dict,
     config_to_dict,
@@ -103,6 +111,96 @@ def test_save_load_scenes(tmp_path, toy):
     dump_json({"objects": []}, bad)
     with pytest.raises(ValueError, match="lacks a 'scenes' list"):
         load_scenes(bad)
+
+
+# ---------------------------------------------------------------------------
+# The scene writer against json.dumps
+
+RANDOM_CONFIG = SceneConfig(
+    category_names=("table", "chair", "lamp", "shelf", "sofa", "desk"),
+    k_f=3, n_f=4, n_max=6, d=16, style_names=("oak", "walnut", "steel"),
+)
+
+
+@pytest.fixture(scope="module")
+def random_bundle():
+    return generate_dataset(RANDOM_CONFIG, 50, seed=1)
+
+
+def _reference_bytes(scenes, meta=None) -> bytes:
+    """What save_scenes wrote when it serialised through json.dumps."""
+    payload = {"scenes": [scene_to_dict(s) for s in scenes]}
+    if meta:
+        payload["meta"] = meta
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("family", ["toy", "random"])
+def test_scene_writer_matches_json_dumps_on_generated_and_bundle_scenes(
+        tmp_path, toy, random_bundle, family):
+    bundle = toy if family == "toy" else random_bundle
+    instruction = bundle.instructions[0] if family == "toy" else None
+    pipe = ScenePipeline(bundle, GenerationConfig(graph_steps=25, layout_steps=10))
+    scenes = pipe.generate(instruction, rng=np.random.default_rng(0), n=200)
+    text = None if instruction is None else render_instruction(instruction, bundle.config)
+    path = tmp_path / "out.json"
+    for meta in (None, {}, {"seed": 0, "instruction": text, "kernel": "independent-mask"}):
+        save_scenes(scenes, path, meta=meta)
+        assert path.read_bytes() == _reference_bytes(scenes, meta)
+    save_scenes([], path)
+    assert path.read_bytes() == _reference_bytes([])
+    save_bundle(bundle, tmp_path / "bundle")
+    assert (tmp_path / "bundle" / "scenes.json").read_bytes() == _reference_bytes(bundle.scenes)
+
+
+def test_scene_writer_keeps_signed_zero_features_apart(tmp_path, toy):
+    base = toy.scenes[0].objects[0]
+    plus = np.zeros_like(base.feature)
+    plus[1:] = 0.5
+    minus = plus.copy()
+    minus[0] = -0.0
+    scene = Scene(id="zeros", objects=(dataclasses.replace(base, feature=plus),
+                                       dataclasses.replace(base, feature=minus)))
+    path = tmp_path / "zeros.json"
+    save_scenes([scene], path)
+    assert path.read_bytes() == _reference_bytes([scene])
+    (back,) = load_scenes(path)
+    assert [bool(np.signbit(o.feature[0])) for o in back.objects] == [False, True]
+
+
+_SPECIAL_FLOATS = st.sampled_from(
+    [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310, 1e300, -1e300, 0.1])
+_FLOATS = st.one_of(st.floats(), _SPECIAL_FLOATS)
+_SIZES = st.one_of(st.floats(min_value=5e-324),
+                   st.sampled_from([5e-324, 2.5e-310, 1e300, math.inf, math.nan]))
+_TEXT = st.one_of(st.text(max_size=8),
+                  st.sampled_from(['say "hi"', "back\\slash", "caf\u00e9 \u2603", "tab\tnew\nline"]))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+_OBJECTS = st.builds(
+    ObjectInstance,
+    category=st.integers(min_value=0, max_value=2**40),
+    location=st.tuples(_FLOATS, _FLOATS, _FLOATS),
+    size=st.tuples(_SIZES, _SIZES, _SIZES),
+    rotation=_FLOATS,
+    # A fixed pool as well, so that some features repeat within a file.
+    feature=st.one_of(st.lists(_FLOATS, max_size=4),
+                      st.sampled_from([(0.0, -0.0), (-0.0, 0.0), (0.25, math.nan)])),
+    asset_id=st.none() | _TEXT,
+)
+_SCENES = st.lists(st.builds(Scene, id=_TEXT, objects=st.lists(_OBJECTS, min_size=1,
+                                                                max_size=3)), max_size=4)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(scenes=_SCENES, meta=st.none() | st.dictionaries(_TEXT, _JSON, max_size=4))
+def test_scene_writer_matches_json_dumps_on_any_scenes(tmp_path_factory, scenes, meta):
+    path = tmp_path_factory.mktemp("writer") / "scenes.json"
+    save_scenes(scenes, path, meta=meta)
+    assert path.read_bytes() == _reference_bytes(scenes, meta)
 
 
 def test_malformed_records_and_bundles_raise_format_error(tmp_path, toy):
@@ -321,6 +419,52 @@ def _assert_typed_failure(res, message):
     assert res.exit_code == 4
     assert res.stderr.splitlines() == [f"error: {message}"]
     assert "Traceback" not in res.output
+
+
+def test_writers_raise_output_error_naming_the_path(tmp_path, toy):
+    assert issubclass(OutputError, SceneDiffError) and issubclass(OutputError, OSError)
+    missing = tmp_path / "nodir" / "x.json"
+    with pytest.raises(OutputError, match=f"cannot write {missing}: "):
+        save_scenes(toy.scenes[:1], missing)
+    with pytest.raises(OutputError, match=f"cannot write {tmp_path}: "):
+        dump_json({"a": 1}, tmp_path)
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    with pytest.raises(OutputError, match=f"cannot create bundle directory {a_file}: "):
+        save_bundle(toy, a_file)
+
+
+# Each command with an --out it cannot write: (arguments, the path, errno).
+_UNWRITABLE = {
+    "generate-missing-dir": (["generate", "--n", "1", *FAST], "nodir/x.json", errno.ENOENT),
+    "uncond-missing-dir": (["uncond", "--n", "1", *FAST], "nodir/x.json", errno.ENOENT),
+    "generate-onto-dir": (["generate", "--n", "1", *FAST], "adir", errno.EISDIR),
+    "schedule-dump-missing-dir": (["schedule-dump", "--steps", "5"], "nodir/s.json",
+                                  errno.ENOENT),
+    "eval-missing-dir": (["eval", "--scenes", "{partial}", "--instruction",
+                          "Arrange a chair closely to the left of a table."],
+                         "nodir/r.json", errno.ENOENT),
+    "render-svg-missing-dir": (["render-svg", "--scenes", "{partial}"], "nodir/s.svg",
+                               errno.ENOENT),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNWRITABLE))
+def test_cli_unwritable_output_path_exits_4(tmp_path, bundle_dir, partial_path, case):
+    args, out, code = _UNWRITABLE[case]
+    (tmp_path / "adir").mkdir()
+    out = tmp_path / out
+    args = [a.format(partial=partial_path) for a in args]
+    res = CliRunner().invoke(main, [*args, "--bundle", bundle_dir, "--out", str(out)])
+    _assert_typed_failure(res, f"cannot write {out}: {os.strerror(code)}")
+
+
+def test_cli_make_dataset_onto_a_file_exits_4(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("")
+    res = CliRunner().invoke(main, ["make-dataset", "--out", str(out)])
+    _assert_typed_failure(
+        res, f"cannot create bundle directory {out}: {os.strerror(errno.EEXIST)}")
 
 
 def test_cli_scene_file_without_scenes_list_exits_4(tmp_path, bundle_dir):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from scenediff import pipeline
 from scenediff.datagen import toy_variant_of
 from scenediff.errors import UnsatisfiableInstructionError
 from scenediff.graph import derive_semantic_graph, pad_graph
@@ -16,7 +17,7 @@ from scenediff.instructions import (
 from scenediff.pipeline import GenerationConfig, ScenePipeline, retrieve_object
 from scenediff.scene_io import scene_to_dict
 from scenediff.relations import RelationLabel
-from scenediff.scene import Scene
+from scenediff.scene import ObjectInstance, Scene, layout_row_to_pose
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +106,40 @@ def test_unconditional_scenes_stay_on_support(pipe, toy):
         assert 3 == scene.n_objects
         cats = sorted(o.category for o in scene.objects)
         assert cats in ([0, 1, 2], [0, 1, 3])
+
+
+def test_generate_retrieves_each_signature_once(pipe, toy, monkeypatch):
+    n = 200
+    calls = []
+
+    def counting(category, codes, library, codebook):
+        calls.append((category, codes.tobytes()))
+        return retrieve_object(category, codes, library, codebook)
+
+    monkeypatch.setattr(pipeline, "retrieve_object", counting)
+    scenes = pipe.generate(toy.instructions[0], rng=np.random.default_rng(3), n=n)
+    # The per-slot oracle: the same draws, one retrieval per slot.
+    rng = np.random.default_rng(3)
+    graphs = pipeline.reverse_sample_batch(pipe.graph_denoiser, pipe.graph_schedule, n, rng,
+                                           instructions=toy.instructions[0])
+    layouts = pipeline.reverse_sample_layout(pipe.layout_denoiser, graphs,
+                                             pipe.layout_schedule, rng,
+                                             n_rows=toy.config.n_max)
+    expected, signatures = [], set()
+    for i, (graph, layout) in enumerate(zip(graphs, layouts)):
+        objects = []
+        for slot in np.flatnonzero(graph.categories < toy.config.k_c):
+            category, codes = int(graph.categories[slot]), graph.codes[slot]
+            signatures.add((category, codes.tobytes()))
+            asset = retrieve_object(category, codes, toy.library, toy.codebook)
+            location, size, rotation = layout_row_to_pose(layout[slot])
+            objects.append(ObjectInstance(category=category, location=location, size=size,
+                                          rotation=rotation, feature=asset.feature,
+                                          asset_id=asset.asset_id))
+        expected.append(Scene(id=f"generated-{i:04d}", objects=tuple(objects)))
+    assert scenes == expected
+    assert sorted(calls) == sorted(signatures)
+    assert len(calls) < sum(s.n_objects for s in scenes)
 
 
 def test_generate_rejects_impossible_instructions(pipe):
