@@ -13,6 +13,7 @@ path that cannot be written), reported as one ``error:`` line.
 from __future__ import annotations
 
 import functools
+import json
 import os
 import sys
 from pathlib import Path
@@ -31,7 +32,12 @@ from .errors import (
 )
 from .evaluation import evaluate_scenes
 from .graph import check_scenes_fit
-from .graph_diffusion import KERNELS, KERNEL_INDEPENDENT, schedule_to_json
+from .graph_diffusion import (
+    KERNEL_INDEPENDENT,
+    KERNELS,
+    build_graph_schedule,
+    schedule_to_json,
+)
 from .instructions import parse_instruction
 from .pipeline import GenerationConfig, ScenePipeline
 from .scene_io import (
@@ -263,10 +269,6 @@ def render_svg_cmd(bundle_dir, scenes_path, index, out):
 @_guarded
 def schedule_dump(bundle_dir, steps, kernel, leak, out):
     """Dump the per-kind schedule parameters and terminal checksums."""
-    from .graph_diffusion import build_graph_schedule
-
-    import json
-
     bundle = load_bundle(Path(bundle_dir))
     payload = schedule_to_json(build_graph_schedule(bundle.config, steps, kernel, leak=leak))
     if out is None:

@@ -997,59 +997,37 @@ def reverse_sample(denoiser: GraphDenoiser, schedule: GraphSchedule,
 
 def corrupt_graph(graph: SemanticGraph, t: int, schedule: GraphSchedule,
                   rng: np.random.Generator) -> SemanticGraph:
-    """Draw G_t from the forward process.
+    """Draw G_t from the forward marginal q(G_t | G_0) in one draw per entry.
 
-    Independent kernels corrupt every slot independently through its own
-    schedule. The joint-mask kernel instead simulates the chain step by step
-    with one shared mask event per node and step: when a node's event fires,
-    its category, codes, and incident relations mask together; survivors leak
-    through the per-kind conditional transition. The per-variable marginals
-    coincide with the stored transition matrices in both cases.
+    Independent kernels draw every slot from its schedule's qbar[t][:, x_0].
+    The joint-mask kernel shares one mask event per node: a node is masked
+    by t with probability 1 - prod_{u <= t} (1 - gamma_u), and then its
+    category, codes, and relations mask together. Every other entry draws
+    from qbar[t][:-1, x_0]: each step's non-mask block is its leak-conditioned
+    step times the survival factor, so that column is the product of the
+    conditioned steps up to scale. A relation survives with
+    prod (1 - gamma_u)^2, its own schedule's survival, so the marginals are
+    qbar's, except under freeze_empty, whose schedules never mask empty.
     """
+    if not 0 <= t <= schedule.T:
+        raise ValueError(f"t={t} outside [0, {schedule.T}]")
     if schedule.kernel != KERNEL_JOINT:
         cat = forward_sample_array(graph.categories, t, schedule.category, rng)
         code = forward_sample_array(graph.codes, t, schedule.code, rng)
         rel = forward_sample_array(graph.relations, t, schedule.relation, rng)
         return SemanticGraph(cat, code, rel, k_c=graph.k_c, k_f=graph.k_f, k_e=graph.k_e)
 
-    n = graph.n_slots
-    j, k = pair_slots(n)
-    cat = graph.categories.copy()
-    code = graph.codes.copy()
-    rel = graph.relations.copy()
-    cat_mask_v, code_mask_v, rel_mask_v = (
-        mask_state(graph.k_c), mask_state(graph.k_f), mask_state(graph.k_e))
-    masked = np.zeros(n, dtype=bool)
-    for u in range(1, t + 1):
-        gamma = schedule.category.gammas[u - 1]
-        fired = rng.random(n) < gamma
-        newly = fired & ~masked
-        masked |= fired
-        cat[newly] = cat_mask_v
-        code[newly] = code_mask_v
-        alive = ~masked
-        cat[alive] = _leak_step(cat[alive], schedule.category, u, rng)
-        code[alive] = _leak_step(code[alive], schedule.code, u, rng)
-        # Live pairs leak in pair order, one uniform draw each.
-        rel[masked[j] | masked[k]] = rel_mask_v
-        live = rel != rel_mask_v
-        rel[live] = _leak_step(rel[live], schedule.relation, u, rng)
-    return SemanticGraph(cat, code, rel, k_c=graph.k_c, k_f=graph.k_f, k_e=graph.k_e)
-
-
-def _leak_step(values: np.ndarray, schedule: MaskSchedule, t: int,
-               rng: np.random.Generator) -> np.ndarray:
-    """One forward step conditioned on the mask event not firing."""
-    if values.size == 0:
-        return values
-    q = schedule.q[t - 1].copy()
-    msk = mask_state(schedule.k)
-    q[msk, :] = 0.0
-    cols = q.sum(axis=0)
-    cols[cols == 0.0] = 1.0
-    q = q / cols[None, :]
-    probs = q[:, values.reshape(-1)].T
-    return _sample_rows(probs, rng).reshape(values.shape).astype(np.int64)
+    masked = rng.random(graph.n_slots) < 1.0 - np.prod(1.0 - schedule.category.gammas[:t])
+    j, k = pair_slots(graph.n_slots)
+    out = []
+    for x0, s, hidden in ((graph.categories, schedule.category, masked),
+                          (graph.codes, schedule.code, masked[:, None]),
+                          (graph.relations, schedule.relation, masked[j] | masked[k])):
+        x_t = np.full(x0.shape, mask_state(s.k), dtype=np.int64)
+        live = ~np.broadcast_to(hidden, x0.shape)
+        x_t[live] = _sample_rows(s.qbar[t][:-1, x0[live]].T, rng)
+        out.append(x_t)
+    return SemanticGraph(*out, k_c=graph.k_c, k_f=graph.k_f, k_e=graph.k_e)
 
 
 def _bound_term(mixture: np.ndarray, x0: np.ndarray, x_t: np.ndarray,

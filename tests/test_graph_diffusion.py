@@ -27,6 +27,7 @@ from scenediff.graph_diffusion import (
     TERMINAL_MASK_MIN,
     EmpiricalGraphDenoiser,
     FrozenGraph,
+    GraphDenoiser,
     GraphSchedule,
     GuidanceConfig,
     LossWeights,
@@ -49,7 +50,7 @@ from scenediff.graph_diffusion import (
     variational_bound,
 )
 from scenediff.instructions import Instruction, StyleConstraint, instruction_matches
-from scenediff.relations import RelationLabel
+from scenediff.relations import RelationLabel, pair_slots
 
 
 def enum_posterior(x_t: int, x0: int, t: int, sched) -> np.ndarray | None:
@@ -786,6 +787,53 @@ def test_uniform_denoiser_runs_all_kernels(toy):
                              np.random.default_rng(0), frozen=frozen)
 
 
+class _ConditionedDenoiser(GraphDenoiser):
+    """Factorized denoiser whose prediction depends on ``filters``: uniform
+    without an instruction, and with one tilted towards the label equal to
+    the slot's state and towards label t mod (k + 1). With ``premix`` set it
+    returns apply_cfg(conditional, unconditional, premix) for an instruction
+    itself, which is what guidance at that scale should sample from."""
+
+    def __init__(self, config, premix=None):
+        self.n_slots, self.n_f = 4, 4
+        self.ks = (config.k_c, config.k_f, config.k_e)
+        self.premix = premix
+
+    def predict_arrays(self, cat, code_flat, rel, filters, t: int, observe=None):
+        states = (cat, code_flat, rel)
+        uncond = tuple(np.full(x.shape + (k + 1,), 1.0 / (k + 1)) for x, k in zip(states, self.ks))
+        if filters is None:
+            return uncond
+        cond = []
+        for x, k in zip(states, self.ks):
+            w = np.ones(x.shape + (k + 1,))
+            w[..., t % (k + 1)] += 1.0
+            np.put_along_axis(w, (x % (k + 1))[..., None], 4.0, axis=-1)
+            cond.append(w / w.sum(axis=-1, keepdims=True))
+        if self.premix is None:
+            return tuple(cond)
+        return tuple(apply_cfg(c, u, self.premix) for c, u in zip(cond, uncond))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_factorized_guidance_samples_the_guided_prediction(toy, kernel):
+    sched = build_graph_schedule(toy.config, 6, kernel, leak=0.01)
+    inst = toy.instructions[0]
+    scale = 1.5
+
+    def run(den, **kw):
+        rng = np.random.default_rng(31)
+        graphs = reverse_sample_batch(den, sched, 40, rng, **kw)
+        return graphs, rng.bit_generator.state
+
+    den = _ConditionedDenoiser(toy.config)
+    guided = run(den, instructions=inst, guidance=GuidanceConfig(scale))
+    assert guided == run(_ConditionedDenoiser(toy.config, premix=scale), instructions=inst)
+    assert guided[0] != run(den, instructions=inst)[0]
+    # Without an instruction there is nothing to guide towards.
+    assert run(den, guidance=GuidanceConfig(scale)) == run(den)
+
+
 def test_exact_denoiser_reverse_runs_all_kernels(toy):
     from scenediff.instructions import instruction_matches
 
@@ -893,6 +941,67 @@ def test_joint_corruption_marginals_match_schedule(toy):
         got = rel_counts[e] / n
         se = np.sqrt(np.maximum(want * (1 - want), 1e-12) / n)
         assert (np.abs(got - want) <= 4.5 * se + 2e-3).all(), e
+
+
+def _within(counts, n, want):
+    """Observed frequencies counts / n within 4.5 standard errors of want."""
+    se = np.sqrt(np.maximum(want * (1 - want), 1e-12) / max(n, 1))
+    return bool((np.abs(counts / max(n, 1) - want) <= 4.5 * se + 2e-3).all())
+
+
+def _leak_conditioned_product(sched, t):
+    """Product of the per-step matrices restricted to the non-mask states,
+    each column renormalized, i.e. q(x_t | x_0, no mask event by t); built
+    from sched.q alone."""
+    out = np.eye(sched.k + 1)
+    for u in range(1, t + 1):
+        step = sched.q[u - 1][:-1, :-1]
+        out = (step / step.sum(axis=0, keepdims=True)) @ out
+    return out
+
+
+@pytest.mark.parametrize("freeze_empty", [False, True])
+def test_joint_corruption_matches_stepwise_oracle(toy, freeze_empty):
+    sched = build_graph_schedule(toy.config, 5, KERNEL_JOINT, leak=0.3,
+                                 freeze_empty=freeze_empty)
+    clean = toy.graphs[0]
+    j, k = pair_slots(4)
+    rng = np.random.default_rng(23)
+    n = 4000
+    for t in (1, 2, 4):
+        # The node mask event, read off the category steps: q[u][mask, real].
+        gammas = np.array([sched.category.q[u][-1, 0] for u in range(t)])
+        survive = float(np.prod(1.0 - gammas))
+        edge_gammas = np.array([sched.relation.q[u][-1, 0] for u in range(t)])
+        assert np.prod(1.0 - edge_gammas) == pytest.approx(survive ** 2, rel=1e-12)
+        patterns = np.zeros(16)
+        kinds = ((sched.category, clean.categories), (sched.code, clean.codes.reshape(-1)),
+                 (sched.relation, clean.relations))
+        counts = [np.zeros((x0.shape[0], s.k + 1)) for s, x0 in kinds]
+        for _ in range(n):
+            g_t = corrupt_graph(clean, t, sched, rng)
+            masked = g_t.categories == sched.category.k + 1
+            patterns[int((masked * (1 << np.arange(4))).sum())] += 1
+            hidden = (masked, np.repeat(masked, 4), masked[j] | masked[k])
+            for c, x_t, h, (s, _) in zip(counts, (g_t.categories, g_t.codes.reshape(-1),
+                                                  g_t.relations), hidden, kinds):
+                assert (x_t[h] == s.k + 1).all() and (x_t[~h] <= s.k).all()
+                c[np.flatnonzero(~h), x_t[~h]] += 1
+        bits = (np.arange(16)[:, None] >> np.arange(4)) & 1
+        want = np.where(bits, 1.0 - survive, survive).prod(axis=1)
+        assert _within(patterns, n, want), t
+        for c, (s, x0) in zip(counts, kinds):
+            cond = _leak_conditioned_product(s, t)
+            for row, label in zip(c, x0.tolist()):
+                assert _within(row, row.sum(), cond[:, label]), (t, s.k, label)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_corrupt_graph_rejects_t_outside_range(toy, kernel, rng):
+    sched = build_graph_schedule(toy.config, 4, kernel, leak=0.01)
+    for t in (-1, 5):
+        with pytest.raises(ValueError, match=rf"t={t} outside \[0, 4\]"):
+            corrupt_graph(toy.graphs[0], t, sched, rng)
 
 
 # ---------------------------------------------------------------------------
