@@ -264,42 +264,35 @@ class ExactEpsDenoiser(EpsDenoiser):
         return ((L - math.sqrt(ab) * post_mean) / math.sqrt(1.0 - ab)).reshape(L_t.shape)
 
 
-# Bytes of noise drawn at once: chains run in chunks whose start and step
-# noise fit in this budget, so the sampler's memory stays flat in the batch.
-_NOISE_CHUNK_BYTES = 1 << 20
-
-
 def reverse_sample_layout(denoiser: ExactEpsDenoiser, graphs, schedule: GaussianSchedule,
-                          rng: np.random.Generator, n_rows: int | None = None,
+                          rng: np.random.Generator,
                           frozen_rows: dict[int, np.ndarray] | None = None) -> np.ndarray:
     """Ancestral sampling of layouts conditioned on graphs.
 
-    ``graphs`` is one SemanticGraph, giving one (n_rows, 8) layout, or a
-    sequence of B graphs, giving a (B, n_rows, 8) stack. The chains run
+    ``graphs`` is one SemanticGraph, giving one (n_slots, 8) layout, or a
+    sequence of B graphs, giving a (B, n_slots, 8) stack. The chains run
     together in standardized space from pure noise down to t = 1; the final
     step adds no noise because its posterior variance is zero. Chains whose
-    graphs share a key share one ``matching_layouts`` lookup, and the chains
-    of a noise chunk whose keys have the same number of candidate layouts
-    share one ``predict`` call per step. Noise is drawn in scene-major
-    order, each chain's start and then its noise for every noisy step, chain
-    after chain, so a batch consumes the generator exactly as B single-graph calls
-    would. Returns layouts in raw units with the rotation pair renormalized
-    to unit length. frozen_rows maps row indices to raw rows clamped at
-    every step in every chain; those rows come back bit-identical.
+    graphs share a key share one ``matching_layouts`` lookup, and chains
+    whose keys have the same number of candidate layouts share one
+    ``predict`` call per step. The start and each noisy step draw one
+    (B, n_slots, 8) block of standard normals, whose row i drives chain i, so
+    a layout depends on its place in the batch and on the batch size, but
+    not on the other chains' graphs. Returns layouts in raw units with the
+    rotation pair renormalized to unit length. frozen_rows maps row indices
+    to raw rows clamped at every step in every chain; those rows come back
+    bit-identical.
     """
     single = isinstance(graphs, SemanticGraph)
     batch = [graphs] if single else list(graphs)
     if not batch:
         raise ValueError("need at least one graph")
-    if n_rows is None:
-        n_rows = batch[0].n_slots
-    if n_rows < 1:
-        raise ValueError("cannot sample a layout with no rows")
+    shape = (len(batch), batch[0].n_slots, LAYOUT_DIM)
     frozen_raw = {}
     frozen_std = {}
     if frozen_rows:
         for idx, row in frozen_rows.items():
-            if not 0 <= idx < n_rows:
+            if not 0 <= idx < shape[1]:
                 raise ValueError(f"frozen row {idx} outside layout")
             frozen_raw[idx] = np.asarray(row, dtype=np.float64).copy()
             frozen_std[idx] = standardize(frozen_raw[idx], denoiser.stats)
@@ -308,44 +301,32 @@ def reverse_sample_layout(denoiser: ExactEpsDenoiser, graphs, schedule: Gaussian
     group = np.array([key_ids.setdefault(g.key(), len(key_ids)) for g in batch])
     reps = [batch[i] for i in np.unique(group, return_index=True)[1]]
     modes = [denoiser.matching_layouts(g) for g in reps]
-    if any(m.shape[1:] != (n_rows, LAYOUT_DIM) for m in modes):
+    if any(m.shape[1:] != shape[1:] for m in modes):
         raise ValueError("noisy layout shape disagrees with the matching set")
     count = np.array([m.shape[0] for m in modes])
-
-    draws = 1 + int((schedule.posterior_var > 0.0).sum())  # start, then noisy steps
-    chunk = max(1, _NOISE_CHUNK_BYTES // (draws * n_rows * LAYOUT_DIM * 8))
-    L_all = np.empty((len(batch), n_rows, LAYOUT_DIM))
-    for lo in range(0, len(batch), chunk):
-        hi = min(lo + chunk, len(batch))
-        noise = rng.standard_normal((hi - lo, draws, n_rows, LAYOUT_DIM))
-        # Sort the chunk's chains by candidate count so each count is one
-        # contiguous slice, decoded against its chains' stacked candidates.
-        order = np.argsort(count[group[lo:hi]], kind="stable")
-        keys = group[lo:hi][order]
-        cuts = [0, *(np.flatnonzero(np.diff(count[keys])) + 1), hi - lo]
-        slices = [(slice(a, b), np.stack([modes[k] for k in keys[a:b]]))
-                  for a, b in zip(cuts, cuts[1:])]
-        L = noise[order, 0]
-        draw = 1
+    # Sort the chains by candidate count so each count is one contiguous
+    # slice, decoded against its chains' stacked candidates.
+    order = np.argsort(count[group], kind="stable")
+    keys = group[order]
+    cuts = [0, *(np.flatnonzero(np.diff(count[keys])) + 1), len(batch)]
+    slices = [(slice(a, b), np.stack([modes[k] for k in keys[a:b]]))
+              for a, b in zip(cuts, cuts[1:])]
+    L = rng.standard_normal(shape)[order]
+    for idx, row in frozen_std.items():
+        L[:, idx] = row
+    for t in range(schedule.T, 0, -1):
+        eps_hat = np.empty_like(L)
+        for sl, stacks in slices:
+            eps_hat[sl] = denoiser.predict(L[sl], t, None, modes=stacks)
+        beta = schedule.betas[t - 1]
+        ab = schedule.alpha_bar[t]
+        L = (L - beta / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(1.0 - beta)
+        var = schedule.posterior_var[t - 1]
+        if var > 0.0:
+            L += math.sqrt(var) * rng.standard_normal(shape)[order]
         for idx, row in frozen_std.items():
             L[:, idx] = row
-        for t in range(schedule.T, 0, -1):
-            eps_hat = np.empty_like(L)
-            for sl, stacks in slices:
-                eps_hat[sl] = denoiser.predict(L[sl], t, None, modes=stacks)
-            beta = schedule.betas[t - 1]
-            ab = schedule.alpha_bar[t]
-            mean = (L - beta / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(1.0 - beta)
-            var = schedule.posterior_var[t - 1]
-            if var > 0.0:
-                L = mean + math.sqrt(var) * noise[order, draw]
-                draw += 1
-            else:
-                L = mean
-            for idx, row in frozen_std.items():
-                L[:, idx] = row
-        L_all[lo + order] = L
-    out = destandardize(L_all, denoiser.stats)
+    out = destandardize(L, denoiser.stats)[np.argsort(order)]
     norm = np.hypot(out[..., 6], out[..., 7])
     if (norm < 1e-12).any():
         raise ValueError("degenerate rotation vector in sampled layout")

@@ -124,8 +124,7 @@ class ScenePipeline:
         graphs = reverse_sample_batch(
             self.graph_denoiser, self.graph_schedule, n, rng, instructions=instr,
         )
-        layouts = reverse_sample_layout(self.layout_denoiser, graphs, self.layout_schedule,
-                                        rng, n_rows=self.config.n_max)
+        layouts = reverse_sample_layout(self.layout_denoiser, graphs, self.layout_schedule, rng)
         assets: dict = {}
         return [
             Scene(id=f"{id_prefix}-{i:04d}", objects=tuple(
@@ -167,7 +166,6 @@ class ScenePipeline:
                            freeze_relations=True, slots=range(n0))
         original = scene_to_layout(scene)
         layout = reverse_sample_layout(self.layout_denoiser, graph, self.layout_schedule, rng,
-                                       n_rows=self.config.n_max,
                                        frozen_rows={i: original[i] for i in range(n0)})
         objects = tuple(
             scene.objects[s] if s < n0 else self._object_from_slot(s, graph, layout[s], {})
@@ -185,8 +183,7 @@ class ScenePipeline:
         """
         graph = self._edit(scene, self._resolve(instruction), rng,
                            freeze_categories=True, freeze_codes=True)
-        layout = reverse_sample_layout(self.layout_denoiser, graph, self.layout_schedule, rng,
-                                       n_rows=self.config.n_max)
+        layout = reverse_sample_layout(self.layout_denoiser, graph, self.layout_schedule, rng)
         objects = []
         for slot in self._real_slots(graph):
             location, _, rotation = layout_row_to_pose(layout[slot])

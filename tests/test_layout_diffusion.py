@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from scenediff import layout_diffusion
 from scenediff.graph import SemanticGraph
 from scenediff.layout_diffusion import (
     MAX_STEP_VARIANCE,
@@ -278,14 +278,18 @@ def test_single_mode_chain_recovers_the_layout(toy, sched):
     assert np.allclose(norms, 1.0, atol=1e-9)
 
 
-def test_two_mode_chain_lands_on_a_mode(sched):
+def _two_mode_dataset(sched):
     g = _graph([0, 1], np.zeros((2, 4)), [0])
     rng = np.random.default_rng(3)
     L1 = np.concatenate([rng.normal(size=(2, 6)),
                          np.tile(rotation_encode(0.3), (2, 1))], axis=1)
     L2 = L1 + 10.0
     L2[:, 6:] = rotation_encode(-1.1)
-    den = ExactEpsDenoiser([(g, L1), (g, L2)], sched)
+    return L1, L2, ExactEpsDenoiser([(g, L1), (g, L2)], sched), g
+
+
+def test_two_mode_chain_lands_on_a_mode(sched):
+    L1, L2, den, g = _two_mode_dataset(sched)
     seen = set()
     for seed in range(12):
         out = reverse_sample_layout(den, g, sched, np.random.default_rng(seed))
@@ -313,8 +317,6 @@ def test_frozen_rows_come_back_bit_identical(toy, sched):
     with pytest.raises(ValueError, match="outside layout"):
         reverse_sample_layout(den, g, sched, np.random.default_rng(1),
                               frozen_rows={4: keep})
-    with pytest.raises(ValueError, match="no rows"):
-        reverse_sample_layout(den, g, sched, np.random.default_rng(1), n_rows=0)
 
 
 def test_stacked_prediction_equals_one_layout_at_a_time(toy, sched, rng):
@@ -358,23 +360,6 @@ def _mixed_key_batch(toy, size):
     return [keys[pattern[i % len(pattern)]] for i in range(size)]
 
 
-@pytest.mark.parametrize("chains_per_chunk", [3, None])
-def test_batch_equals_single_graph_calls(toy, sched, monkeypatch, chains_per_chunk):
-    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
-    per_chain = sched.T * 4 * 8 * 8  # start plus T - 1 noisy steps, 4 rows of 8 doubles
-    if chains_per_chunk is not None:
-        monkeypatch.setattr(layout_diffusion, "_NOISE_CHUNK_BYTES", chains_per_chunk * per_chain)
-    chunk = layout_diffusion._NOISE_CHUNK_BYTES // per_chain
-    graphs = _mixed_key_batch(toy, chunk + 5)
-    assert len({g.key() for g in graphs}) == 4
-    rng_batch, rng_single = np.random.default_rng(11), np.random.default_rng(11)
-    out = reverse_sample_layout(den, graphs, sched, rng_batch)
-    want = np.stack([reverse_sample_layout(den, g, sched, rng_single) for g in graphs])
-    assert out.shape == (len(graphs), 4, 8)
-    assert np.array_equal(out, want)
-    assert rng_batch.bit_generator.state == rng_single.bit_generator.state
-
-
 def _shared_count_batch(toy, size):
     """Graphs under five match keys and two candidate counts, interleaved:
     keys 4 and 7 match three layouts each, keys 10, 12 and 14 two each."""
@@ -382,27 +367,59 @@ def _shared_count_batch(toy, size):
     return [toy.graphs[pattern[i % len(pattern)]] for i in range(size)]
 
 
-@pytest.mark.parametrize("chains_per_chunk", [4, None])
-def test_shared_count_batch_equals_single_graph_calls(toy, sched, monkeypatch,
-                                                      chains_per_chunk):
+@pytest.mark.parametrize("frozen", [False, True])
+def test_a_chain_does_not_depend_on_the_other_graphs(toy, sched, frozen):
     den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
-    per_chain = sched.T * 4 * 8 * 8
-    if chains_per_chunk is not None:
-        monkeypatch.setattr(layout_diffusion, "_NOISE_CHUNK_BYTES", chains_per_chunk * per_chain)
-    graphs = _shared_count_batch(toy, 23)
-    keep = {1: np.asarray(toy.layouts[4][1]) + 0.5}
-    rng_batch, rng_single = np.random.default_rng(21), np.random.default_rng(21)
-    out = reverse_sample_layout(den, graphs, sched, rng_batch, frozen_rows=keep)
-    want = [reverse_sample_layout(den, g, sched, rng_single, frozen_rows=keep) for g in graphs]
-    assert np.array_equal(out, np.stack(want))
-    assert rng_batch.bit_generator.state == rng_single.bit_generator.state
+    keep = {1: np.asarray(toy.layouts[4][1]) + 0.5} if frozen else None
+    graphs = _shared_count_batch(toy, 11)
+    out = reverse_sample_layout(den, graphs, sched, np.random.default_rng(21), frozen_rows=keep)
+    # Another graph with the same count, one with the other count, and the
+    # code-free and multiset fallbacks (seven and eleven candidates).
+    swaps = [toy.graphs[14], toy.graphs[7], *_mixed_key_batch(toy, 3)[::2]]
+    for pos in (0, 3, 10):
+        for g in swaps:
+            changed = list(graphs)
+            changed[pos] = g
+            got = reverse_sample_layout(den, changed, sched, np.random.default_rng(21),
+                                        frozen_rows=keep)
+            assert np.array_equal(np.delete(got, pos, 0), np.delete(out, pos, 0))
 
 
-def test_one_predict_call_per_candidate_count_chunk_and_step(toy, sched, monkeypatch):
+def _reference_chain(den, graph, sched, blocks, i, frozen):
+    """One chain decoded alone, driven by row i of each noise block."""
+    L, draws = blocks[0][i].copy(), iter(blocks[1:])
+    std = {idx: standardize(row, den.stats) for idx, row in frozen.items()}
+    for t in range(sched.T, 0, -1):
+        for idx, row in std.items():
+            L[idx] = row
+        beta, ab = sched.betas[t - 1], sched.alpha_bar[t]
+        L = (L - beta / math.sqrt(1.0 - ab) * den.predict(L, t, graph)) / math.sqrt(1.0 - beta)
+        if sched.posterior_var[t - 1] > 0.0:
+            L += math.sqrt(sched.posterior_var[t - 1]) * next(draws)[i]
+    out = destandardize(L, den.stats)
+    out[:, 6:] /= np.hypot(out[:, 6], out[:, 7])[:, None]
+    for idx, row in frozen.items():
+        out[idx] = row
+    return out
+
+
+def test_row_i_of_each_noise_block_drives_chain_i(toy, sched):
     den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
-    chains_per_chunk = 4
-    monkeypatch.setattr(layout_diffusion, "_NOISE_CHUNK_BYTES",
-                        chains_per_chunk * sched.T * 4 * 8 * 8)
+    graphs = _mixed_key_batch(toy, 9)
+    keep = {2: np.asarray(toy.layouts[3][2]) - 0.1}
+    rng = np.random.default_rng(11)
+    out = reverse_sample_layout(den, graphs, sched, rng, frozen_rows=keep)
+    # The start and each noisy step draw one (B, n, 8) block, in that order.
+    fresh = np.random.default_rng(11)
+    blocks = [fresh.standard_normal(out.shape)
+              for _ in range(1 + int((sched.posterior_var > 0.0).sum()))]
+    assert rng.bit_generator.state == fresh.bit_generator.state
+    for i, g in enumerate(graphs):
+        assert np.array_equal(out[i], _reference_chain(den, g, sched, blocks, i, keep))
+
+
+def test_one_predict_call_per_candidate_count_and_step(toy, sched):
+    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
     graphs = _shared_count_batch(toy, 10)
     counts = [den.matching_layouts(g).shape[0] for g in graphs]
     assert len({g.key() for g in graphs}) >= 3 and len(set(counts)) == 2
@@ -416,10 +433,7 @@ def test_one_predict_call_per_candidate_count_chunk_and_step(toy, sched, monkeyp
 
     den.predict = counted
     reverse_sample_layout(den, graphs, sched, np.random.default_rng(0))
-    per_step = sum(len(set(counts[lo:lo + chains_per_chunk]))
-                   for lo in range(0, len(graphs), chains_per_chunk))
-    assert per_step == 5  # chunks of 4, 4 and 2 chains hold 2, 2 and 1 counts
-    assert len(calls) == per_step * sched.T
+    assert len(calls) == 2 * sched.T
     assert sum(b for _, b in calls) == len(graphs) * sched.T
 
 
@@ -427,14 +441,42 @@ def test_frozen_rows_bit_identical_across_a_batch(toy, sched):
     den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
     graphs = _mixed_key_batch(toy, 9)
     keep = {0: np.asarray(toy.layouts[0][0]) + 0.25, 2: np.asarray(toy.layouts[3][2]) - 0.1}
-    rng_batch, rng_single = np.random.default_rng(4), np.random.default_rng(4)
-    out = reverse_sample_layout(den, graphs, sched, rng_batch, frozen_rows=keep)
+    rng = np.random.default_rng(4)
+    out = reverse_sample_layout(den, graphs, sched, rng, frozen_rows=keep)
     for idx, row in keep.items():
         assert (out[:, idx] == row).all()
-    want = [reverse_sample_layout(den, g, sched, rng_single, frozen_rows=keep) for g in graphs]
-    assert np.array_equal(out, np.stack(want))
     with pytest.raises(ValueError, match="outside layout"):
-        reverse_sample_layout(den, graphs, sched, rng_batch, frozen_rows={4: keep[0]})
+        reverse_sample_layout(den, graphs, sched, rng, frozen_rows={4: keep[0]})
+
+
+def test_one_batch_splits_evenly_between_two_modes(sched):
+    L1, L2, den, g = _two_mode_dataset(sched)
+    n = 4000
+    out = reverse_sample_layout(den, [g] * n, sched, np.random.default_rng(0))
+    d1 = np.abs(out - L1).max(axis=(1, 2))
+    d2 = np.abs(out - L2).max(axis=(1, 2))
+    assert (np.minimum(d1, d2) < 1e-3).all()
+    # Each column's pooled mean is the midpoint of the two layouts' column
+    # means, so the standardized modes have equal norms. The reflection that
+    # swaps them then fixes the origin and preserves every step's law, so
+    # each mode draws exactly half of the chains.
+    share = float((d1 < d2).mean())
+    assert abs(share - 0.5) < 4.5 * math.sqrt(0.25 / n)
+
+
+def test_sampler_memory_per_chain_stays_small(toy):
+    sched = build_gaussian_schedule(100)
+    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
+    n = 2000
+    graphs = [toy.graphs[i % len(toy.graphs)] for i in range(n)]
+    tracemalloc.start()
+    try:
+        reverse_sample_layout(den, graphs, sched, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Drawing every step's noise at once would take 25.6 KB per chain.
+    assert peak / n < 4096
 
 
 def test_fallback_logs_once_per_call(toy, sched, caplog):

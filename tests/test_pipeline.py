@@ -123,8 +123,7 @@ def test_generate_retrieves_each_signature_once(pipe, toy, monkeypatch):
     graphs = pipeline.reverse_sample_batch(pipe.graph_denoiser, pipe.graph_schedule, n, rng,
                                            instructions=toy.instructions[0])
     layouts = pipeline.reverse_sample_layout(pipe.layout_denoiser, graphs,
-                                             pipe.layout_schedule, rng,
-                                             n_rows=toy.config.n_max)
+                                             pipe.layout_schedule, rng)
     expected, signatures = [], set()
     for i, (graph, layout) in enumerate(zip(graphs, layouts)):
         objects = []
