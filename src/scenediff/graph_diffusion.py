@@ -69,7 +69,6 @@ class MaskSchedule:
             weight in betas, and zero gammas.
         q: (T, k + 2, k + 2) per-step column-stochastic transition matrices.
         qbar: (T + 1, k + 2, k + 2) cumulative products, qbar[0] = identity.
-        freeze_empty: when True the empty state never corrupts.
 
     posterior_mixture_tensor and the joint reverse step's cumulative table
     memoize their per-t arrays on the schedule, one read-only array per t,
@@ -83,7 +82,6 @@ class MaskSchedule:
     gammas: np.ndarray
     q: np.ndarray
     qbar: np.ndarray
-    freeze_empty: bool = False
     _mixtures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _mixture_cdfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -132,7 +130,7 @@ class MaskSchedule:
         return float(self.qbar[self.T][mask_state(self.k), : self.k].min())
 
 
-def _mask_step_matrices(k: int, alphas, betas, gammas, freeze_empty: bool) -> np.ndarray:
+def _mask_step_matrices(k: int, alphas, betas, gammas) -> np.ndarray:
     """(T, k + 2, k + 2) mask-structure step matrices, one per parameter row."""
     m = k + 2
     e, msk = empty_state(k), mask_state(k)
@@ -141,34 +139,27 @@ def _mask_step_matrices(k: int, alphas, betas, gammas, freeze_empty: bool) -> np
     q[:, :k, :k] = betas[:, None, None]
     q[:, real, real] = (alphas + betas)[:, None]
     q[:, msk, :k] = gammas[:, None]
-    if freeze_empty:
-        q[:, e, e] = 1.0
-    else:
-        q[:, e, e] = 1.0 - gammas
-        q[:, msk, e] = gammas
+    q[:, e, e] = 1.0 - gammas
+    q[:, msk, e] = gammas
     q[:, msk, msk] = 1.0
     return q
 
 
-def _uniform_step_matrices(k: int, stays, mix, freeze_empty: bool) -> np.ndarray:
-    """(T, k + 2, k + 2) uniform-structure step matrices: each of the mixing
-    states keeps its label with stays[t] and moves to every mixing state with
-    mix[t]; the mask, and empty under freeze_empty, stay put."""
+def _uniform_step_matrices(k: int, stays, mix) -> np.ndarray:
+    """(T, k + 2, k + 2) uniform-structure step matrices: each of the k + 1
+    real and empty labels keeps its label with stays[t] and moves to every
+    one of them with mix[t]; the mask stays put."""
     m = k + 2
-    e, msk = empty_state(k), mask_state(k)
-    states = k if freeze_empty else k + 1
-    mixing = np.arange(states)
+    msk = mask_state(k)
+    mixing = np.arange(k + 1)
     q = np.zeros((stays.shape[0], m, m), dtype=np.float64)
-    q[:, :states, :states] = mix[:, None, None]
+    q[:, : k + 1, : k + 1] = mix[:, None, None]
     q[:, mixing, mixing] += stays[:, None]
-    if freeze_empty:
-        q[:, e, e] = 1.0
     q[:, msk, msk] = 1.0
     return q
 
 
-def _assemble_schedule(k: int, kernel: str, alphas, betas, gammas,
-                       q: np.ndarray, freeze_empty: bool) -> MaskSchedule:
+def _assemble_schedule(k: int, kernel: str, alphas, betas, gammas, q: np.ndarray) -> MaskSchedule:
     T = q.shape[0]
     m = k + 2
     qbar = np.empty((T + 1, m, m), dtype=np.float64)
@@ -180,13 +171,12 @@ def _assemble_schedule(k: int, kernel: str, alphas, betas, gammas,
         alphas=np.asarray(alphas, dtype=np.float64),
         betas=np.asarray(betas, dtype=np.float64),
         gammas=np.asarray(gammas, dtype=np.float64),
-        q=q, qbar=qbar, freeze_empty=freeze_empty,
+        q=q, qbar=qbar,
     )
 
 
 def mask_schedule_from_params(k: int, alphas, betas, gammas, *,
-                              kernel: str = KERNEL_INDEPENDENT,
-                              freeze_empty: bool = False) -> MaskSchedule:
+                              kernel: str = KERNEL_INDEPENDENT) -> MaskSchedule:
     """Build a mask-structure schedule from explicit per-step parameters.
 
     Every step needs alpha_t >= 0, beta_t >= 0, gamma_t in [0, 1], and
@@ -201,19 +191,18 @@ def mask_schedule_from_params(k: int, alphas, betas, gammas, *,
         raise ValueError("schedule parameters out of range")
     if not np.allclose(alphas + k * betas + gammas, 1.0, atol=1e-12):
         raise ValueError("need alpha_t + k beta_t + gamma_t == 1 at every step")
-    q = _mask_step_matrices(k, alphas, betas, gammas, freeze_empty)
-    return _assemble_schedule(k, kernel, alphas, betas, gammas, q, freeze_empty)
+    q = _mask_step_matrices(k, alphas, betas, gammas)
+    return _assemble_schedule(k, kernel, alphas, betas, gammas, q)
 
 
-def uniform_schedule_from_stays(k: int, stays, *, kernel: str = KERNEL_UNIFORM,
-                                freeze_empty: bool = False) -> MaskSchedule:
+def uniform_schedule_from_stays(k: int, stays, *, kernel: str = KERNEL_UNIFORM) -> MaskSchedule:
     """Build a uniform-structure schedule from per-step stay weights."""
     stays = np.asarray(stays, dtype=np.float64)
     if stays.ndim != 1 or (stays < 0).any() or (stays > 1).any():
         raise ValueError("stay weights must lie in [0, 1]")
-    betas = (1.0 - stays) / (k if freeze_empty else k + 1)
-    q = _uniform_step_matrices(k, stays, betas, freeze_empty)
-    return _assemble_schedule(k, kernel, stays, betas, np.zeros_like(stays), q, freeze_empty)
+    betas = (1.0 - stays) / (k + 1)
+    q = _uniform_step_matrices(k, stays, betas)
+    return _assemble_schedule(k, kernel, stays, betas, np.zeros_like(stays), q)
 
 
 def _std_normal_cdf(x: np.ndarray) -> np.ndarray:
@@ -244,8 +233,7 @@ def argmax_stay_probability(alpha_bar: float, n_states: int) -> float:
 
 
 def build_schedule(T: int, k: int, kernel: str = KERNEL_INDEPENDENT, *,
-                   leak: float = 0.01, freeze_empty: bool = False,
-                   node_gamma=None) -> MaskSchedule:
+                   leak: float = 0.01, node_gamma=None) -> MaskSchedule:
     """Construct the forward schedule for one variable kind.
 
     Mask kernels use gamma_t = 1 / (T - t + 1) and beta_t = leak / k, except
@@ -278,7 +266,7 @@ def build_schedule(T: int, k: int, kernel: str = KERNEL_INDEPENDENT, *,
         if (alphas < -1e-15).any():
             raise ValueError("schedule parameters give a negative survival probability")
         sched = mask_schedule_from_params(k, np.clip(alphas, 0.0, None), betas, gammas,
-                                          kernel=kernel, freeze_empty=freeze_empty)
+                                          kernel=kernel)
         if node_gamma is None and sched.terminal_mask_mass() < TERMINAL_MASK_MIN:
             raise ValueError(f"terminal mask probability {sched.terminal_mask_mass():.6f} "
                              f"below {TERMINAL_MASK_MIN}")
@@ -286,20 +274,18 @@ def build_schedule(T: int, k: int, kernel: str = KERNEL_INDEPENDENT, *,
     if kernel == KERNEL_UNIFORM:
         ab = cosine_alpha_bar(T)
         stays = ab[1:] / ab[:-1]
-        return uniform_schedule_from_stays(k, stays, kernel=kernel, freeze_empty=freeze_empty)
+        return uniform_schedule_from_stays(k, stays, kernel=kernel)
     if kernel == KERNEL_GAUSSIAN:
-        states = k if freeze_empty else k + 1
-        if states < 2:
-            raise ValueError("gaussian-embedding kernel needs at least two mixing states")
         ab = cosine_alpha_bar(T)
         abar = np.empty(T + 1, dtype=np.float64)
         abar[0] = 1.0
         for t in range(1, T + 1):
-            p_stay = argmax_stay_probability(float(ab[t]), states)
-            a = (states * p_stay - 1.0) / (states - 1.0)
+            # The k + 1 real and empty labels mix; k >= 1 makes that at least two.
+            p_stay = argmax_stay_probability(float(ab[t]), k + 1)
+            a = ((k + 1) * p_stay - 1.0) / k
             abar[t] = min(max(a, 1e-12), abar[t - 1])
         stays = abar[1:] / abar[:-1]
-        return uniform_schedule_from_stays(k, stays, kernel=kernel, freeze_empty=freeze_empty)
+        return uniform_schedule_from_stays(k, stays, kernel=kernel)
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
@@ -328,18 +314,16 @@ class GraphSchedule:
 
 def build_graph_schedule(config: SceneConfig, T: int,
                          kernel: str = KERNEL_INDEPENDENT, *,
-                         leak: float = 0.01,
-                         freeze_empty: bool = False) -> GraphSchedule:
+                         leak: float = 0.01) -> GraphSchedule:
     """Schedules for categories, codes, and relations of one scene family."""
     edge_gamma = None
     if kernel == KERNEL_JOINT:
         node_gamma = np.array([1.0 / (T - t + 1) for t in range(1, T + 1)])
         edge_gamma = 1.0 - (1.0 - node_gamma) ** 2
     return GraphSchedule(
-        category=build_schedule(T, config.k_c, kernel, leak=leak, freeze_empty=freeze_empty),
-        code=build_schedule(T, config.k_f, kernel, leak=leak, freeze_empty=freeze_empty),
-        relation=build_schedule(T, config.k_e, kernel, leak=leak, freeze_empty=freeze_empty,
-                                node_gamma=edge_gamma),
+        category=build_schedule(T, config.k_c, kernel, leak=leak),
+        code=build_schedule(T, config.k_f, kernel, leak=leak),
+        relation=build_schedule(T, config.k_e, kernel, leak=leak, node_gamma=edge_gamma),
     )
 
 
@@ -824,8 +808,7 @@ def _initial_states(schedule: MaskSchedule, rows: int, cols: int,
                     rng: np.random.Generator) -> np.ndarray:
     if schedule.kernel in MASKING_KERNELS:
         return np.full((rows, cols), mask_state(schedule.k), dtype=np.int64)
-    states = schedule.k if schedule.freeze_empty else schedule.k + 1
-    return rng.integers(states, size=(rows, cols), dtype=np.int64)
+    return rng.integers(schedule.k + 1, size=(rows, cols), dtype=np.int64)
 
 
 def _discard_uniforms(rng: np.random.Generator, n: int) -> None:
@@ -837,24 +820,17 @@ def _discard_uniforms(rng: np.random.Generator, n: int) -> None:
 
 
 def _reverse_step_kind(states: np.ndarray, px0: np.ndarray, schedule: MaskSchedule,
-                       t: int, rng: np.random.Generator, free: np.ndarray) -> np.ndarray:
-    """Advance one kind's state matrix from time t to t - 1.
-
-    Only the entries at the flat indices ``free`` move. Frozen entries pass
-    through untouched; they hold clean values that the time-t mixture would
-    reject as impossible. A kind with no free entry draws nothing.
-    """
-    if not free.size:
-        return states
+                       t: int, rng: np.random.Generator) -> np.ndarray:
+    """Advance every entry of one kind's state matrix from time t to t - 1,
+    each by the mixture of posteriors under its predicted clean labels."""
     M = posterior_mixture_tensor(schedule, t)
-    out = states.reshape(-1).copy()
-    flat = out[free]
-    p0 = px0.reshape(-1, px0.shape[-1])[free]
-    probs = np.empty((free.size, schedule.n_states), dtype=np.float64)
+    flat = states.reshape(-1)
+    p0 = px0.reshape(-1, px0.shape[-1])
+    probs = np.empty((flat.size, schedule.n_states), dtype=np.float64)
     for value in np.unique(flat):
         rows = flat == value
         probs[rows] = p0[rows] @ M[value]
-    out[free] = _sample_rows(probs, rng, "reverse step produced an impossible state")
+    out = _sample_rows(probs, rng, "reverse step produced an impossible state")
     return out.reshape(states.shape)
 
 
@@ -956,25 +932,29 @@ def reverse_sample_batch(denoiser: GraphDenoiser, schedule: GraphSchedule,
                                              + free_rel.size))
         return [denoiser.graphs[h]] * n_chains
 
-    draw, step = ({"rng": rng}, _joint_step_kind) if joint else ({}, _reverse_step_kind)
     for t in range(schedule.T, 0, -1):
-        pc, pf, pe = denoiser.predict_arrays(cat, code, rel, filters, t, observe, **draw)
-        if not joint:
-            if guidance.scale > 0.0 and instructions is not None:
-                uc, uf, ue = denoiser.predict_arrays(cat, code, rel, None, t)
-                pc = apply_cfg(pc, uc, guidance.scale)
-                pf = apply_cfg(pf, uf, guidance.scale)
-                pe = apply_cfg(pe, ue, guidance.scale)
-            for p, k in ((pc, k_c), (pf, k_f), (pe, k_e)):
-                if p.shape[-1] != k + 1:
-                    raise ValueError("denoiser must predict real labels plus empty, never mask")
-            # np.allclose(sums, 1, atol=1e-9) over all three kinds at once.
-            sums = np.concatenate([p.sum(axis=-1) for p in (pc, pf, pe)], axis=None)
-            if not (np.abs(sums - 1.0) <= 1e-9 + 1e-5).all():
-                raise ValueError("denoiser prediction is not normalized")
-        cat = step(cat, pc, schedule.category, t, rng, free_cat)
-        code = step(code, pf, schedule.code, t, rng, free_code)
-        rel = step(rel, pe, schedule.relation, t, rng, free_rel)
+        if joint:
+            hc, hf, he = denoiser.predict_arrays(cat, code, rel, filters, t, observe, rng=rng)
+            cat = _joint_step_kind(cat, hc, schedule.category, t, rng, free_cat)
+            code = _joint_step_kind(code, hf, schedule.code, t, rng, free_code)
+            rel = _joint_step_kind(rel, he, schedule.relation, t, rng, free_rel)
+            continue
+        pc, pf, pe = denoiser.predict_arrays(cat, code, rel, filters, t)
+        if guidance.scale > 0.0 and instructions is not None:
+            uc, uf, ue = denoiser.predict_arrays(cat, code, rel, None, t)
+            pc = apply_cfg(pc, uc, guidance.scale)
+            pf = apply_cfg(pf, uf, guidance.scale)
+            pe = apply_cfg(pe, ue, guidance.scale)
+        for p, k in ((pc, k_c), (pf, k_f), (pe, k_e)):
+            if p.shape[-1] != k + 1:
+                raise ValueError("denoiser must predict real labels plus empty, never mask")
+        # np.allclose(sums, 1, atol=1e-9) over all three kinds at once.
+        sums = np.concatenate([p.sum(axis=-1) for p in (pc, pf, pe)], axis=None)
+        if not (np.abs(sums - 1.0) <= 1e-9 + 1e-5).all():
+            raise ValueError("denoiser prediction is not normalized")
+        cat = _reverse_step_kind(cat, pc, schedule.category, t, rng)
+        code = _reverse_step_kind(code, pf, schedule.code, t, rng)
+        rel = _reverse_step_kind(rel, pe, schedule.relation, t, rng)
 
     # One immutable graph per distinct terminal state, shared by its chains.
     final, chain_of = np.unique(np.hstack([cat, code, rel]), axis=0, return_inverse=True)
@@ -1007,7 +987,7 @@ def corrupt_graph(graph: SemanticGraph, t: int, schedule: GraphSchedule,
     step times the survival factor, so that column is the product of the
     conditioned steps up to scale. A relation survives with
     prod (1 - gamma_u)^2, its own schedule's survival, so the marginals are
-    qbar's, except under freeze_empty, whose schedules never mask empty.
+    qbar's.
     """
     if not 0 <= t <= schedule.T:
         raise ValueError(f"t={t} outside [0, {schedule.T}]")
@@ -1099,7 +1079,6 @@ def schedule_to_json(schedule: GraphSchedule) -> dict:
                     ("relation", schedule.relation)):
         out["kinds"][name] = {
             "k": s.k,
-            "freeze_empty": s.freeze_empty,
             "alphas": [float(v) for v in s.alphas],
             "betas": [float(v) for v in s.betas],
             "gammas": [float(v) for v in s.gammas],

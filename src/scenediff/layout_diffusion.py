@@ -22,6 +22,8 @@ from .scene import LAYOUT_DIM
 logger = logging.getLogger(__name__)
 
 MAX_STEP_VARIANCE = 0.999
+# The cosine ramp's offset s (Nichol and Dhariwal), so early steps add noise.
+COSINE_OFFSET = 0.008
 
 
 def rotation_encode(r: float) -> tuple[float, float]:
@@ -37,7 +39,7 @@ def rotation_decode(cos_r: float, sin_r: float) -> float:
     return math.atan2(sin_r, cos_r)
 
 
-def cosine_alpha_bar(T: int, offset: float = 0.008) -> np.ndarray:
+def cosine_alpha_bar(T: int) -> np.ndarray:
     """Cumulative signal levels alpha_bar_0..alpha_bar_T on a cosine ramp.
 
     alpha_bar_0 is exactly 1; per-step variances derived from the ramp are
@@ -46,7 +48,7 @@ def cosine_alpha_bar(T: int, offset: float = 0.008) -> np.ndarray:
     if T < 1:
         raise ValueError("need at least one step")
     steps = np.arange(T + 1, dtype=np.float64) / T
-    f = np.cos((steps + offset) / (1.0 + offset) * math.pi / 2.0) ** 2
+    f = np.cos((steps + COSINE_OFFSET) / (1.0 + COSINE_OFFSET) * math.pi / 2.0) ** 2
     raw = f / f[0]
     alpha_bar = np.empty(T + 1, dtype=np.float64)
     alpha_bar[0] = 1.0
@@ -177,9 +179,10 @@ class ExactEpsDenoiser(EpsDenoiser):
     converts the posterior mean to a noise estimate.
     """
 
-    def __init__(self, dataset, schedule: GaussianSchedule, stats: LayoutStats | None = None):
+    def __init__(self, dataset, schedule: GaussianSchedule):
         """dataset: iterable of (SemanticGraph, layout) pairs. Layouts are
-        raw (unstandardized); statistics default to the dataset's own."""
+        raw (unstandardized) and standardized by the dataset's own
+        statistics."""
         pairs = [(g, np.asarray(L, dtype=np.float64)) for g, L in dataset]
         if not pairs:
             raise ValueError("empty layout dataset")
@@ -187,14 +190,12 @@ class ExactEpsDenoiser(EpsDenoiser):
             raise ValueError("layout must have one row per graph slot")
         # Every layout's rows stacked, standardized at once, then split back.
         rows = np.concatenate([L for _, L in pairs], axis=0)
-        if stats is None:
-            stats = compute_layout_stats([rows])
-        self.stats = stats
+        self.stats = compute_layout_stats([rows])
         self.schedule = schedule
         self._exact: dict[bytes, list[np.ndarray]] = {}
         self._no_codes: dict[bytes, list[np.ndarray]] = {}
         self._multiset: dict[bytes, list[np.ndarray]] = {}
-        standardized, lo = standardize(rows, stats), 0
+        standardized, lo = standardize(rows, self.stats), 0
         for g, L in pairs:
             z = standardized[lo:lo + L.shape[0]]
             lo += L.shape[0]

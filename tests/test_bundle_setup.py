@@ -133,7 +133,7 @@ def test_derivation_rejects_scenes_that_do_not_fit(toy):
 # Schedules: the per-step step-matrix builders, kept here as the oracle
 
 
-def _mask_step_matrix(k, alpha, beta, gamma, freeze_empty):
+def _mask_step_matrix(k, alpha, beta, gamma):
     m = k + 2
     e, msk = empty_state(k), mask_state(k)
     q = np.zeros((m, m), dtype=np.float64)
@@ -141,40 +141,33 @@ def _mask_step_matrix(k, alpha, beta, gamma, freeze_empty):
         q[:k, j] = beta
         q[j, j] = alpha + beta
         q[msk, j] = gamma
-    if freeze_empty:
-        q[e, e] = 1.0
-    else:
-        q[e, e] = 1.0 - gamma
-        q[msk, e] = gamma
+    q[e, e] = 1.0 - gamma
+    q[msk, e] = gamma
     q[msk, msk] = 1.0
     return q
 
 
-def _uniform_step_matrix(k, stay, freeze_empty):
+def _uniform_step_matrix(k, stay):
     m = k + 2
-    e, msk = empty_state(k), mask_state(k)
-    states = k if freeze_empty else k + 1
+    states = k + 1
     q = np.zeros((m, m), dtype=np.float64)
     mix = (1.0 - stay) / states
     q[:states, :states] = mix
     q[np.arange(states), np.arange(states)] += stay
-    if freeze_empty:
-        q[e, e] = 1.0
-    q[msk, msk] = 1.0
+    q[mask_state(k), mask_state(k)] = 1.0
     return q
 
 
 @pytest.mark.parametrize("T", [1, 7, 100])
-@pytest.mark.parametrize("freeze_empty", [False, True])
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_schedule_arrays_match_per_step_oracle(toy, kernel, freeze_empty, T):
-    graph_schedule = build_graph_schedule(toy.config, T, kernel, freeze_empty=freeze_empty)
+def test_schedule_arrays_match_per_step_oracle(toy, kernel, T):
+    graph_schedule = build_graph_schedule(toy.config, T, kernel)
     for s in (graph_schedule.category, graph_schedule.code, graph_schedule.relation):
         if kernel in ("independent-mask", "joint-mask"):
-            steps = [_mask_step_matrix(s.k, float(a), float(b), float(g), freeze_empty)
+            steps = [_mask_step_matrix(s.k, float(a), float(b), float(g))
                      for a, b, g in zip(s.alphas, s.betas, s.gammas)]
         else:
-            steps = [_uniform_step_matrix(s.k, float(a), freeze_empty) for a in s.alphas]
+            steps = [_uniform_step_matrix(s.k, float(a)) for a in s.alphas]
         assert s.q.tobytes() == np.stack(steps).tobytes()
         qbar = [np.eye(s.k + 2)]
         for q in steps:

@@ -173,14 +173,6 @@ def test_step_matrices_are_column_stochastic_and_absorbing():
         assert np.allclose(s.qbar[t], acc, atol=1e-15)
 
 
-def test_freeze_empty_keeps_empty_clean():
-    s = build_schedule(6, 3, KERNEL_INDEPENDENT, leak=0.02, freeze_empty=True)
-    e = empty_state(3)
-    assert np.allclose(s.qbar[s.T][:, e], np.eye(5)[e], atol=0)
-    u = build_schedule(6, 3, KERNEL_UNIFORM, freeze_empty=True)
-    assert np.allclose(u.qbar[u.T][:, e], np.eye(5)[e], atol=0)
-
-
 def test_uniform_kernel_structure():
     k, T = 4, 6
     s = build_schedule(T, k, KERNEL_UNIFORM)
@@ -960,10 +952,8 @@ def _leak_conditioned_product(sched, t):
     return out
 
 
-@pytest.mark.parametrize("freeze_empty", [False, True])
-def test_joint_corruption_matches_stepwise_oracle(toy, freeze_empty):
-    sched = build_graph_schedule(toy.config, 5, KERNEL_JOINT, leak=0.3,
-                                 freeze_empty=freeze_empty)
+def test_joint_corruption_matches_stepwise_oracle(toy):
+    sched = build_graph_schedule(toy.config, 5, KERNEL_JOINT, leak=0.3)
     clean = toy.graphs[0]
     j, k = pair_slots(4)
     rng = np.random.default_rng(23)
@@ -994,6 +984,24 @@ def test_joint_corruption_matches_stepwise_oracle(toy, freeze_empty):
             cond = _leak_conditioned_product(s, t)
             for row, label in zip(c, x0.tolist()):
                 assert _within(row, row.sum(), cond[:, label]), (t, s.k, label)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_corrupted_graphs_are_possible_under_their_source(toy, kernel):
+    # Every entry of a draw, empty slots included, must have forward mass
+    # from its clean label: log q(G_t | G_0) is finite for the source graph.
+    T = 10
+    sched = build_graph_schedule(toy.config, T, kernel, leak=0.3)
+    den = EmpiricalGraphDenoiser(toy.graphs, sched)
+    column = {g.key(): u for u, g in enumerate(den.graphs)}
+    rng = np.random.default_rng(KERNELS.index(kernel))
+    for t in (1, T // 2, T):
+        for graph in toy.graphs:
+            draws = [corrupt_graph(graph, t, sched, rng) for _ in range(20)]
+            ll = den.log_likelihood(np.stack([g.categories for g in draws]),
+                                    np.stack([g.codes.reshape(-1) for g in draws]),
+                                    np.stack([g.relations for g in draws]), t)
+            assert np.isfinite(ll[:, column[graph.key()]]).all(), (t, graph.key())
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

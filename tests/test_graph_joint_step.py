@@ -24,13 +24,17 @@ from scenediff.errors import SupportError
 from scenediff.evaluation import tv_distance
 from scenediff.graph_diffusion import (
     KERNELS,
+    MASKING_KERNELS,
     EmpiricalGraphDenoiser,
     FrozenGraph,
+    GraphSchedule,
     apply_cfg,
     build_graph_schedule,
     corrupt_graph,
+    mask_schedule_from_params,
     posterior_mixture_tensor,
     reverse_sample_batch,
+    uniform_schedule_from_stays,
 )
 from scenediff.graph import SemanticGraph
 from scenediff.instructions import Instruction, StyleConstraint, instruction_matches
@@ -394,17 +398,31 @@ def test_a_one_graph_dataset_matches_the_reference_loop(toy, kernel, batch):
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def _label_keeping_schedule(config, kernel):
+    """Per-kind schedules under which no entry ever leaves its clean label:
+    zero gammas under the masking kernels, stay weights of 1 under the
+    others. So qbar_T is the identity, and the start (all mask, or uniform
+    labels) is out of every dataset graph's reach."""
+    def build(k):
+        if kernel in MASKING_KERNELS:
+            return mask_schedule_from_params(k, np.ones(T), np.zeros(T), np.zeros(T),
+                                             kernel=kernel)
+        return uniform_schedule_from_stays(k, np.ones(T), kernel=kernel)
+
+    return GraphSchedule(*(build(k) for k in (config.k_c, config.k_f, config.k_e)))
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_one_live_hypothesis_fails_where_the_first_step_would(toy, kernel):
-    # With freeze_empty the empty label never corrupts, so no dataset graph
-    # with an empty slot explains the initial state; the loop's first step
-    # raises, and so does a call that skips the steps.
-    schedule = build_graph_schedule(toy.config, T, kernel, freeze_empty=True)
-    den = EmpiricalGraphDenoiser([toy.graphs[0]], schedule)
-    assert (toy.graphs[0].categories == toy.config.k_c).any()
-    for sample in (_reference_reverse_sample, reverse_sample_batch):
-        with pytest.raises(SupportError):
-            sample(den, schedule, 3, np.random.default_rng(0))
+    # No dataset graph explains the start, so the loop's first step raises;
+    # so do a call that skips the steps (one graph) and one that steps (all).
+    schedule = _label_keeping_schedule(toy.config, kernel)
+    for graphs in ([toy.graphs[0]], toy.graphs):
+        den = EmpiricalGraphDenoiser(graphs, schedule)
+        assert den.n_unique == (1 if len(graphs) == 1 else 8)
+        for sample in (_reference_reverse_sample, reverse_sample_batch):
+            with pytest.raises(SupportError):
+                sample(den, schedule, 3, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,

@@ -2,9 +2,8 @@
 
 ``posterior_mixture_tensor`` memoizes one read-only tensor per schedule and
 t; the oracle is the posterior formula written out entry by entry. The
-reverse step of one variable kind takes its free entries precomputed and
-skips a kind with none; the oracle is the step it replaced, which found the
-free entries from the frozen mask on every call.
+factorized reverse step of one variable kind moves every entry; the oracle
+draws the same rows from a loop over the distinct state values.
 """
 from __future__ import annotations
 
@@ -55,7 +54,7 @@ def test_mixture_memo_is_exact_shared_and_read_only(toy, kernel):
             with pytest.raises(ValueError):
                 M[0, 0, 0] = 1.0
         assert sorted(s._mixtures) == [1, T // 2, T]
-        fresh = dataclasses.replace(s, freeze_empty=s.freeze_empty)
+        fresh = dataclasses.replace(s)
         assert fresh._mixtures == {}
         again = posterior_mixture_tensor(fresh, 1)
         assert again is not posterior_mixture_tensor(s, 1)
@@ -70,23 +69,19 @@ def test_mixture_memo_rejects_steps_outside_the_schedule(toy):
     assert 0 not in s._mixtures and T + 1 not in s._mixtures
 
 
-def _loop_step(states, px0, schedule, t, rng, frozen_mask):
+def _loop_step(states, px0, schedule, t, rng):
     """The per-kind reverse step as a loop over the distinct state values."""
-    out = states.reshape(-1).copy()
-    free = np.flatnonzero(~frozen_mask.reshape(-1))
-    if free.size:
-        M = posterior_mixture_tensor(schedule, t)
-        flat = out[free]
-        p0 = px0.reshape(-1, px0.shape[-1])[free]
-        probs = np.empty((free.size, schedule.n_states), dtype=np.float64)
-        for value in np.unique(flat):
-            rows = flat == value
-            probs[rows] = p0[rows] @ M[value]
-        totals = probs.sum(axis=1)
-        if (totals <= 0.0).any():
-            raise ValueError("reverse step produced an impossible state")
-        out[free] = gd._sample_rows(probs, rng)
-    return out.reshape(states.shape)
+    M = posterior_mixture_tensor(schedule, t)
+    flat = states.reshape(-1)
+    p0 = px0.reshape(-1, px0.shape[-1])
+    probs = np.empty((flat.size, schedule.n_states), dtype=np.float64)
+    for value in np.unique(flat):
+        rows = flat == value
+        probs[rows] = p0[rows] @ M[value]
+    totals = probs.sum(axis=1)
+    if (totals <= 0.0).any():
+        raise ValueError("reverse step produced an impossible state")
+    return gd._sample_rows(probs, rng).reshape(states.shape)
 
 
 def _step_inputs(s, batch, width, t, rng):
@@ -108,23 +103,14 @@ def test_reverse_step_matches_the_value_loop(toy, kernel, batch):
     for s, width in zip(_kinds(schedule), widths):
         for t in (T, T // 2, 1):
             states_set, px0 = _step_inputs(s, batch, width, t, rng)
-            frozen_masks = (np.zeros((batch, width), dtype=bool),
-                            rng.random((batch, width)) < 0.4,
-                            np.ones((batch, width), dtype=bool))
             for states in states_set:
-                for frozen in frozen_masks:
-                    seed = int(rng.integers(2**32))
-                    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                    want = _loop_step(states, px0, s, t, want_rng, frozen)
-                    free = np.flatnonzero(~frozen.reshape(-1))
-                    got = gd._reverse_step_kind(states, px0, s, t, got_rng, free)
-                    assert got.dtype == want.dtype and got.shape == want.shape
-                    assert np.array_equal(got, want)
-                    assert got_rng.bit_generator.state == want_rng.bit_generator.state
-                    if frozen.all():
-                        fresh = np.random.default_rng(seed).bit_generator.state
-                        assert got_rng.bit_generator.state == fresh
-                        assert np.array_equal(got, states)
+                seed = int(rng.integers(2**32))
+                want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = _loop_step(states, px0, s, t, want_rng)
+                got = gd._reverse_step_kind(states, px0, s, t, got_rng)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class _ZeroUniforms:
