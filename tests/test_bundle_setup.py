@@ -159,9 +159,10 @@ def _uniform_step_matrix(k, stay):
 
 
 @pytest.mark.parametrize("T", [1, 7, 100])
+@pytest.mark.parametrize("leak", [0.0, 0.3])
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_schedule_arrays_match_per_step_oracle(toy, kernel, T):
-    graph_schedule = build_graph_schedule(toy.config, T, kernel)
+def test_schedule_arrays_match_per_step_oracle(toy, kernel, leak, T):
+    graph_schedule = build_graph_schedule(toy.config, T, kernel, leak=leak)
     for s in (graph_schedule.category, graph_schedule.code, graph_schedule.relation):
         if kernel in ("independent-mask", "joint-mask"):
             steps = [_mask_step_matrix(s.k, float(a), float(b), float(g))

@@ -173,6 +173,20 @@ def test_step_matrices_are_column_stochastic_and_absorbing():
         assert np.allclose(s.qbar[t], acc, atol=1e-15)
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_empty_label_diffuses_like_a_real_label(kernel):
+    # At zero leak every kernel treats the empty label as one more label:
+    # its cumulative column is real label 0's with the two labels swapped.
+    k, T = 3, 6
+    s = build_schedule(T, k, kernel, leak=0.0)
+    e = empty_state(k)
+    swap = np.arange(k + 2)
+    swap[[0, e]] = [e, 0]
+    for t in range(T + 1):
+        assert np.allclose(s.qbar[t][swap, e], s.qbar[t][:, 0], atol=1e-12), t
+    assert s.qbar[T][e, e] < 1.0
+
+
 def test_uniform_kernel_structure():
     k, T = 4, 6
     s = build_schedule(T, k, KERNEL_UNIFORM)
@@ -952,8 +966,9 @@ def _leak_conditioned_product(sched, t):
     return out
 
 
-def test_joint_corruption_matches_stepwise_oracle(toy):
-    sched = build_graph_schedule(toy.config, 5, KERNEL_JOINT, leak=0.3)
+@pytest.mark.parametrize("leak", [0.0, 0.3])
+def test_joint_corruption_matches_stepwise_oracle(toy, leak):
+    sched = build_graph_schedule(toy.config, 5, KERNEL_JOINT, leak=leak)
     clean = toy.graphs[0]
     j, k = pair_slots(4)
     rng = np.random.default_rng(23)
