@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -94,6 +95,16 @@ def _options(*options):
     return decorate
 
 
+def _finite(ctx, param, value):
+    # FloatRange lets NaN through: it fails every comparison.
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value!r} is not a finite number.")
+    return value
+
+
+_leak_option = click.option("--leak", type=click.FloatRange(min=0), callback=_finite,
+                            default=0.01, show_default=True,
+                            help="Uniform label leak of the masking kernels.")
 _sampling_options = _options(
     click.option("--bundle", "bundle_dir", required=True, type=click.Path(exists=True)),
     click.option("--out", required=True, type=click.Path()),
@@ -103,8 +114,7 @@ _sampling_options = _options(
                  help="Diffusion steps for the layout stage."),
     click.option("--kernel", type=click.Choice(KERNELS), default=KERNEL_INDEPENDENT,
                  show_default=True, help="Forward corruption kernel."),
-    click.option("--leak", type=click.FloatRange(min=0), default=0.01, show_default=True,
-                 help="Uniform label leak of the masking kernels."),
+    _leak_option,
     click.option("--seed", type=click.IntRange(min=0), default=None,
                  help=f"RNG seed; falls back to ${ENV_SEED}, then 0."),
 )
@@ -127,15 +137,20 @@ def _sample(draw, *, bundle_dir, out, graph_steps, layout_steps, kernel, leak, s
     click.echo(f"wrote {what or f'{len(scenes)} scenes'} to {out}")
 
 
+def _check_fit(path: str, index: int, scene, config: SceneConfig) -> None:
+    """FormatError unless scene ``index`` of the file at ``path`` fits ``config``."""
+    try:
+        check_scenes_fit([scene], config)
+    except ValueError as exc:
+        raise FormatError(f"{path}: scene {index} does not fit the bundle: {exc}") from exc
+
+
 def _pick_scene(path: str, index: int, config: SceneConfig):
     """Scene ``index`` of a scene file; FormatError unless it fits ``config``."""
     scenes = load_scenes(path)
     if not 0 <= index < len(scenes):
         raise click.UsageError(f"scene index {index} outside 0..{len(scenes) - 1}")
-    try:
-        check_scenes_fit([scenes[index]], config)
-    except ValueError as exc:
-        raise FormatError(f"{path}: scene {index} does not fit the bundle: {exc}") from exc
+    _check_fit(path, index, scenes[index], config)
     return scenes[index]
 
 
@@ -238,6 +253,8 @@ def eval_cmd(bundle_dir, scenes_path, instruction, out):
     bundle = load_bundle(Path(bundle_dir))
     scenes = load_scenes(scenes_path)
     instr = parse_instruction(instruction, bundle.config)
+    for index, scene in enumerate(scenes):
+        _check_fit(scenes_path, index, scene, bundle.config)
     report = evaluate_scenes(scenes, instr, bundle.config, bundle.codebook,
                              text=instruction)
     click.echo(report.to_json())
@@ -264,7 +281,7 @@ def render_svg_cmd(bundle_dir, scenes_path, index, out):
 @click.option("--steps", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--kernel", type=click.Choice(KERNELS), default=KERNEL_INDEPENDENT,
               show_default=True)
-@click.option("--leak", type=click.FloatRange(min=0), default=0.01, show_default=True)
+@_leak_option
 @click.option("--out", type=click.Path(), default=None, help="Optional JSON path.")
 @_guarded
 def schedule_dump(bundle_dir, steps, kernel, leak, out):

@@ -271,17 +271,20 @@ def reverse_sample_layout(denoiser: ExactEpsDenoiser, graphs, schedule: Gaussian
     """Ancestral sampling of layouts conditioned on graphs.
 
     ``graphs`` is one SemanticGraph, giving one (n_slots, 8) layout, or a
-    sequence of B graphs, giving a (B, n_slots, 8) stack. The chains run
-    together in standardized space from pure noise down to t = 1; the final
-    step adds no noise because its posterior variance is zero. Chains whose
-    graphs share a key share one ``matching_layouts`` lookup, and chains
-    whose keys have the same number of candidate layouts share one
-    ``predict`` call per step. The start and each noisy step draw one
-    (B, n_slots, 8) block of standard normals, whose row i drives chain i, so
-    a layout depends on its place in the batch and on the batch size, but
-    not on the other chains' graphs. Returns layouts in raw units with the
-    rotation pair renormalized to unit length. frozen_rows maps row indices
-    to raw rows clamped at every step in every chain; those rows come back
+    sequence of B graphs, giving a (B, n_slots, 8) stack. Chains whose
+    graphs share a key share one ``matching_layouts`` lookup. A key whose
+    candidates are all one layout is a point mass: the posterior mean is
+    that layout at every t, so its chains return it without stepping. The
+    other chains run together in standardized space from pure noise down to
+    t = 1; the final step adds no noise because its posterior variance is
+    zero. Chains whose keys have the same number of candidate layouts share
+    one ``predict`` call per step. When any chain steps, the start and each
+    noisy step draw one (B, n_slots, 8) block of standard normals, whose row
+    i drives chain i, so a layout depends on its place in the batch and on
+    the batch size, but not on the other chains' graphs; when none steps,
+    nothing is drawn. Returns layouts in raw units with the rotation pair
+    renormalized to unit length. frozen_rows maps row indices to raw rows
+    clamped at every step in every chain; those rows come back
     bit-identical.
     """
     single = isinstance(graphs, SemanticGraph)
@@ -305,29 +308,36 @@ def reverse_sample_layout(denoiser: ExactEpsDenoiser, graphs, schedule: Gaussian
     if any(m.shape[1:] != shape[1:] for m in modes):
         raise ValueError("noisy layout shape disagrees with the matching set")
     count = np.array([m.shape[0] for m in modes])
-    # Sort the chains by candidate count so each count is one contiguous
-    # slice, decoded against its chains' stacked candidates.
-    order = np.argsort(count[group], kind="stable")
-    keys = group[order]
-    cuts = [0, *(np.flatnonzero(np.diff(count[keys])) + 1), len(batch)]
-    slices = [(slice(a, b), np.stack([modes[k] for k in keys[a:b]]))
-              for a, b in zip(cuts, cuts[1:])]
-    L = rng.standard_normal(shape)[order]
-    for idx, row in frozen_std.items():
-        L[:, idx] = row
-    for t in range(schedule.T, 0, -1):
-        eps_hat = np.empty_like(L)
-        for sl, stacks in slices:
-            eps_hat[sl] = denoiser.predict(L[sl], t, None, modes=stacks)
-        beta = schedule.betas[t - 1]
-        ab = schedule.alpha_bar[t]
-        L = (L - beta / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(1.0 - beta)
-        var = schedule.posterior_var[t - 1]
-        if var > 0.0:
-            L += math.sqrt(var) * rng.standard_normal(shape)[order]
+    # Point-mass chains keep their key's one layout; stepping chains
+    # overwrite their rows below.
+    point = np.array([(m == m[0]).all() for m in modes])
+    z = np.stack([m[0] for m in modes])[group]
+    # Sort the stepping chains by candidate count so each count is one
+    # contiguous slice, decoded against its chains' stacked candidates.
+    order = np.flatnonzero(~point[group])
+    order = order[np.argsort(count[group[order]], kind="stable")]
+    if order.size:
+        keys = group[order]
+        cuts = [0, *(np.flatnonzero(np.diff(count[keys])) + 1), len(order)]
+        slices = [(slice(a, b), np.stack([modes[k] for k in keys[a:b]]))
+                  for a, b in zip(cuts, cuts[1:])]
+        L = rng.standard_normal(shape)[order]
         for idx, row in frozen_std.items():
             L[:, idx] = row
-    out = destandardize(L, denoiser.stats)[np.argsort(order)]
+        for t in range(schedule.T, 0, -1):
+            eps_hat = np.empty_like(L)
+            for sl, stacks in slices:
+                eps_hat[sl] = denoiser.predict(L[sl], t, None, modes=stacks)
+            beta = schedule.betas[t - 1]
+            ab = schedule.alpha_bar[t]
+            L = (L - beta / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(1.0 - beta)
+            var = schedule.posterior_var[t - 1]
+            if var > 0.0:
+                L += math.sqrt(var) * rng.standard_normal(shape)[order]
+            for idx, row in frozen_std.items():
+                L[:, idx] = row
+        z[order] = L
+    out = destandardize(z, denoiser.stats)
     norm = np.hypot(out[..., 6], out[..., 7])
     if (norm < 1e-12).any():
         raise ValueError("degenerate rotation vector in sampled layout")

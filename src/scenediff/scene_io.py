@@ -16,6 +16,7 @@ fit its config.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +68,7 @@ def object_to_dict(obj: ObjectInstance) -> dict:
 def object_from_dict(data: dict) -> ObjectInstance:
     # ObjectInstance converts location, size and feature itself.
     try:
-        return ObjectInstance(
+        obj = ObjectInstance(
             category=int(data["category"]),
             location=data["location"],
             size=data["size"],
@@ -77,6 +78,12 @@ def object_from_dict(data: dict) -> ObjectInstance:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed object record: {exc}") from exc
+    # json reads NaN, Infinity and out-of-range numbers such as 1e400.
+    if not all(map(math.isfinite, (*obj.location, *obj.size, obj.rotation,
+                                   *obj.feature.tolist()))):
+        raise FormatError("malformed object record: non-finite location, size, rotation "
+                          "or feature value")
+    return obj
 
 
 def scene_to_dict(scene: Scene) -> dict:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from scenediff import pipeline
+from scenediff.graph import SemanticGraph
 from scenediff.scene import Scene
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -30,10 +31,18 @@ def test_traced_run_reports_every_per_layer_metric(toy, monkeypatch):
         tracer.instrument_pipeline(pipe)
         rng = np.random.default_rng(0)
         partial = Scene(id="partial", objects=toy.scenes[0].objects[:2])
+        # Toy keys hold one distinct layout each, so their chains do not
+        # step; a graph with an unseen relation falls back to the category
+        # multiset, whose candidates differ, and steps.
+        g = toy.graphs[0]
+        rels = np.array(g.relations)
+        rels[0] ^= 1
+        unseen = SemanticGraph(g.categories, g.codes, rels, k_c=g.k_c, k_f=g.k_f, k_e=g.k_e)
         tracer.phase = tracing.OPS
         try:
             pipe.generate(toy.instructions[0], rng=rng, n=2)
             pipe.complete(partial, rng=rng)
+            pipeline.reverse_sample_layout(pipe.layout_denoiser, unseen, pipe.layout_schedule, rng)
         finally:
             tracer.phase = None
     per_layer = tracer.per_layer(items=3)

@@ -232,6 +232,25 @@ def test_gaussian_kernel_follows_argmax_readout():
     assert s.terminal_mask_mass() == 0.0
 
 
+@pytest.mark.parametrize("T", [1, 2, 25, 100])
+def test_gaussian_schedules_equal_the_scalar_readout_bit_for_bit(toy, T):
+    from scenediff.layout_diffusion import cosine_alpha_bar
+
+    ab = cosine_alpha_bar(T)
+    graph = build_graph_schedule(toy.config, T, KERNEL_GAUSSIAN)
+    for k, got in zip((toy.config.k_c, toy.config.k_f, toy.config.k_e),
+                      (graph.category, graph.code, graph.relation)):
+        abar = np.empty(T + 1)
+        abar[0] = 1.0
+        for t in range(1, T + 1):
+            p_stay = argmax_stay_probability(float(ab[t]), k + 1)
+            abar[t] = min(max(((k + 1) * p_stay - 1.0) / k, 1e-12), abar[t - 1])
+        want = uniform_schedule_from_stays(k, abar[1:] / abar[:-1], kernel=KERNEL_GAUSSIAN)
+        for one in (got, build_schedule(T, k, KERNEL_GAUSSIAN)):
+            for name in ("alphas", "betas", "gammas", "q", "qbar"):
+                assert getattr(one, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def test_argmax_stay_probability_two_state_closed_form():
     # For two states the stay event is a single Gaussian comparison:
     # P = Phi(sqrt(abar / (1 - abar)) / sqrt(2)).

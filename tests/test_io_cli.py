@@ -28,7 +28,12 @@ from scenediff.errors import (
 )
 from scenediff.evaluation import scene_satisfies
 from scenediff.graph import derive_semantic_graph, pad_graph
-from scenediff.graph_diffusion import build_graph_schedule, schedule_to_json
+from scenediff.graph_diffusion import (
+    KERNELS,
+    build_graph_schedule,
+    build_schedule,
+    schedule_to_json,
+)
 from scenediff.instructions import Instruction, parse_instruction, render_instruction
 from scenediff.pipeline import GenerationConfig, ScenePipeline
 from scenediff.relations import RelationLabel
@@ -718,6 +723,91 @@ def test_cli_rejects_a_zero_count_as_usage_error(tmp_path, bundle_dir, command, 
     assert res.exit_code == 2
     assert expect in res.stderr
     assert "Traceback" not in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kernel", ["independent-mask", "uniform"])
+@pytest.mark.parametrize("command", ["uncond", "schedule-dump"])
+@pytest.mark.parametrize("leak", ["nan", "inf", "1e400"])
+def test_cli_rejects_a_non_finite_leak_as_usage_error(tmp_path, bundle_dir, command, kernel,
+                                                       leak):
+    # NaN passes FloatRange(min=0), and a masking schedule then raised a
+    # bare ValueError; uniform kernels ignored the leak and exited 0.
+    out = tmp_path / "x.json"
+    fast = FAST if command == "uncond" else []
+    res = CliRunner().invoke(main, [command, "--bundle", bundle_dir, *fast, "--kernel", kernel,
+                                    "--leak", leak, "--out", str(out)])
+    assert res.exit_code == 2
+    assert "Invalid value for '--leak'" in res.stderr and "not a finite number" in res.stderr
+    assert "Traceback" not in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("leak", [math.nan, math.inf, -1.0])
+def test_schedules_reject_a_non_finite_or_negative_leak(toy, kernel, leak):
+    with pytest.raises(ValueError, match="leak must be finite and non-negative"):
+        build_schedule(5, 3, kernel, leak=leak)
+    with pytest.raises(ValueError, match="leak must be finite and non-negative"):
+        build_graph_schedule(toy.config, 5, kernel, leak=leak)
+
+
+def test_cli_eval_of_scenes_from_another_bundle_exits_4(tmp_path, bundle_dir, toy,
+                                                        random_bundle):
+    # Random-family scenes use six categories; the toy bundle has four.
+    other = random_bundle
+    index = next(i for i, scene in enumerate(other.scenes)
+                 if any(o.category >= toy.config.k_c for o in scene.objects))
+    category = next(o.category for o in other.scenes[index].objects
+                    if o.category >= toy.config.k_c)
+    scenes_path = tmp_path / "random.json"
+    save_scenes(other.scenes, scenes_path)
+    out = tmp_path / "report.json"
+    text = render_instruction(toy.instructions[0], toy.config)
+    res = CliRunner().invoke(main, ["eval", "--bundle", bundle_dir, "--scenes", str(scenes_path),
+                                    "--instruction", text, "--out", str(out)])
+    _assert_typed_failure(res, f"{scenes_path}: scene {index} does not fit the bundle: "
+                               f"category {category} outside vocabulary of 4")
+    assert not out.exists()
+
+
+_NON_FINITE_FIELDS = {
+    "size": lambda obj, value: obj["size"].__setitem__(0, value),
+    "location": lambda obj, value: obj["location"].__setitem__(1, value),
+    "rotation": lambda obj, value: obj.__setitem__("rotation", value),
+    "feature": lambda obj, value: obj["feature"].__setitem__(3, value),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("field", sorted(_NON_FINITE_FIELDS))
+def test_object_records_with_non_finite_numbers_raise_format_error(toy, field, value):
+    record = object_to_dict(toy.scenes[0].objects[0])
+    _NON_FINITE_FIELDS[field](record, value)
+    with pytest.raises(FormatError, match="non-finite location, size, rotation or feature"):
+        object_from_dict(record)
+
+
+@pytest.mark.parametrize("command, field, literal", [
+    ("complete", "size", "Infinity"),
+    ("complete", "location", "1e400"),
+    ("render-svg", "location", "NaN"),
+    ("render-svg", "feature", "-Infinity"),
+])
+def test_cli_scene_file_with_a_non_finite_number_exits_4(tmp_path, bundle_dir, toy, command,
+                                                         field, literal):
+    # complete wrote Infinity, which is not JSON, and render-svg wrote nan
+    # into the SVG; both exited 0.
+    record = scene_to_dict(toy.scenes[0])
+    _NON_FINITE_FIELDS[field](record["objects"][1], "@")
+    scenes_path = tmp_path / "scene.json"
+    scenes_path.write_text(json.dumps({"scenes": [record]}).replace('"@"', literal))
+    out = tmp_path / ("x.json" if command == "complete" else "x.svg")
+    extra = FAST if command == "complete" else []
+    res = CliRunner().invoke(main, [command, "--bundle", bundle_dir, "--scenes",
+                                    str(scenes_path), "--out", str(out), *extra])
+    _assert_typed_failure(res, "malformed object record: non-finite location, size, "
+                               "rotation or feature value")
     assert not out.exists()
 
 

@@ -403,6 +403,28 @@ def _reference_chain(den, graph, sched, blocks, i, frozen):
     return out
 
 
+def _shortcut(den, graph, frozen):
+    """The layout a point-mass chain returns: its key's one candidate."""
+    out = destandardize(den.matching_layouts(graph)[0], den.stats)
+    out[:, 6:] /= np.hypot(out[:, 6], out[:, 7])[:, None]
+    for idx, row in frozen.items():
+        out[idx] = row
+    return out
+
+
+def _is_point_mass(den, graph):
+    m = den.matching_layouts(graph)
+    return bool((m == m[0]).all())
+
+
+def _noise_blocks(seed, shape, sched):
+    """The start block and one block per noisy step, as a stepping call draws them."""
+    rng = np.random.default_rng(seed)
+    blocks = [rng.standard_normal(shape)
+              for _ in range(1 + int((sched.posterior_var > 0.0).sum()))]
+    return blocks, rng
+
+
 def test_row_i_of_each_noise_block_drives_chain_i(toy, sched):
     den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
     graphs = _mixed_key_batch(toy, 9)
@@ -410,19 +432,34 @@ def test_row_i_of_each_noise_block_drives_chain_i(toy, sched):
     rng = np.random.default_rng(11)
     out = reverse_sample_layout(den, graphs, sched, rng, frozen_rows=keep)
     # The start and each noisy step draw one (B, n, 8) block, in that order.
-    fresh = np.random.default_rng(11)
-    blocks = [fresh.standard_normal(out.shape)
-              for _ in range(1 + int((sched.posterior_var > 0.0).sum()))]
+    blocks, fresh = _noise_blocks(11, out.shape, sched)
     assert rng.bit_generator.state == fresh.bit_generator.state
+    # Toy exact keys are point masses; the two fallback keys step.
+    point = [_is_point_mass(den, g) for g in graphs]
+    assert any(point) and not all(point)
     for i, g in enumerate(graphs):
-        assert np.array_equal(out[i], _reference_chain(den, g, sched, blocks, i, keep))
+        want = (_shortcut(den, g, keep) if point[i]
+                else _reference_chain(den, g, sched, blocks, i, keep))
+        assert np.array_equal(out[i], want)
+
+
+def _perturbed_dataset(toy, picks):
+    """Toy pairs plus a copy of each picked layout with its objects moved, so
+    the keys of the picked graphs hold two distinct layouts."""
+    pairs = list(zip(toy.graphs, toy.layouts))
+    for i in picks:
+        moved = np.array(toy.layouts[i])
+        moved[:, :2] += 0.3
+        pairs.append((toy.graphs[i], moved))
+    return pairs
 
 
 def test_one_predict_call_per_candidate_count_and_step(toy, sched):
-    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
+    den = ExactEpsDenoiser(_perturbed_dataset(toy, range(len(toy.graphs))), sched)
     graphs = _shared_count_batch(toy, 10)
     counts = [den.matching_layouts(g).shape[0] for g in graphs]
     assert len({g.key() for g in graphs}) >= 3 and len(set(counts)) == 2
+    assert not any(_is_point_mass(den, g) for g in graphs)
     # Wrapped on the instance, the way a tracer sees the sampler's calls.
     calls = []
     predict = den.predict
@@ -435,6 +472,64 @@ def test_one_predict_call_per_candidate_count_and_step(toy, sched):
     reverse_sample_layout(den, graphs, sched, np.random.default_rng(0))
     assert len(calls) == 2 * sched.T
     assert sum(b for _, b in calls) == len(graphs) * sched.T
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_point_mass_chains_return_their_layout(toy, sched, frozen):
+    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
+    assert all(_is_point_mass(den, g) for g in toy.graphs)
+    keep = {1: np.asarray(toy.layouts[4][1]) + 0.5} if frozen else {}
+    for i, g in enumerate(toy.graphs):
+        out = reverse_sample_layout(den, g, sched, np.random.default_rng(i), frozen_rows=keep)
+        assert np.array_equal(out, _shortcut(den, g, keep))
+    graphs = [toy.graphs[i % len(toy.graphs)] for i in (3, 16, 0, 7, 12, 3, 17)]
+    out = reverse_sample_layout(den, graphs, sched, np.random.default_rng(5), frozen_rows=keep)
+    for i, g in enumerate(graphs):
+        assert np.array_equal(out[i], _shortcut(den, g, keep))
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_a_call_of_point_mass_chains_draws_no_noise(toy, sched, frozen):
+    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
+    keep = {0: np.asarray(toy.layouts[0][0]) + 0.25} if frozen else None
+    rng = np.random.default_rng(8)
+    before = rng.bit_generator.state
+    reverse_sample_layout(den, toy.graphs[5], sched, rng, frozen_rows=keep)
+    reverse_sample_layout(den, list(toy.graphs), sched, rng, frozen_rows=keep)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_stepping_rows_of_a_mixed_batch_decode_as_without_point_masses(toy, sched, frozen):
+    den = ExactEpsDenoiser(_perturbed_dataset(toy, (4, 10)), sched)
+    keep = {1: np.asarray(toy.layouts[4][1]) + 0.5} if frozen else {}
+    graphs = [toy.graphs[i] for i in (4, 0, 10, 16, 5, 12, 11, 4, 17, 6)]
+    point = np.array([_is_point_mass(den, g) for g in graphs])
+    assert point.any() and not point.all()
+    rng = np.random.default_rng(13)
+    out = reverse_sample_layout(den, graphs, sched, rng, frozen_rows=keep)
+    blocks, fresh = _noise_blocks(13, out.shape, sched)
+    assert rng.bit_generator.state == fresh.bit_generator.state
+    for i in np.flatnonzero(~point):
+        assert np.array_equal(out[i], _reference_chain(den, graphs[i], sched, blocks, i, keep))
+    # With every point-mass graph swapped for a stepping one, no chain is
+    # skipped; the rows that stepped before are unchanged.
+    stepping = [g if not p else toy.graphs[10] for g, p in zip(graphs, point)]
+    full = reverse_sample_layout(den, stepping, sched, np.random.default_rng(13),
+                                 frozen_rows=keep)
+    assert np.array_equal(full[~point], out[~point])
+
+
+@pytest.mark.parametrize("T", [10, 100])
+def test_one_mode_chain_lands_on_the_point_mass(toy, T):
+    sched_T = build_gaussian_schedule(T)
+    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched_T)
+    keep = {2: np.asarray(toy.layouts[3][2]) - 0.1}
+    blocks, _ = _noise_blocks(17, (len(toy.graphs), 4, 8), sched_T)
+    for i, g in enumerate(toy.graphs):
+        for frozen in ({}, keep):
+            chain = _reference_chain(den, g, sched_T, blocks, i, frozen)
+            assert np.abs(chain - _shortcut(den, g, frozen)).max() <= 1e-12
 
 
 def test_frozen_rows_bit_identical_across_a_batch(toy, sched):
