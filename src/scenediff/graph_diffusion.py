@@ -205,11 +205,9 @@ def uniform_schedule_from_stays(k: int, stays, *, kernel: str = KERNEL_UNIFORM) 
     return _assemble_schedule(k, kernel, stays, betas, np.zeros_like(stays), q)
 
 
-_ERF = np.frompyfunc(math.erf, 1, 1)
-
-
 def _std_normal_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + _ERF(x / math.sqrt(2.0)).astype(np.float64))
+    erf = np.fromiter(map(math.erf, (x / math.sqrt(2.0)).ravel().tolist()), np.float64, x.size)
+    return 0.5 * (1.0 + erf.reshape(x.shape))
 
 
 _HERMITE_NODES, _HERMITE_WEIGHTS = np.polynomial.hermite_e.hermegauss(201)
@@ -235,30 +233,6 @@ def argmax_stay_probability(alpha_bar: float, n_states: int) -> float:
     return float((_HERMITE_WEIGHTS * vals).sum() / math.sqrt(2.0 * math.pi))
 
 
-def _gaussian_stays(T: int, ks) -> list[np.ndarray]:
-    """Per-step stay weights of the gaussian-embedding kernel, one array for
-    each real label count in ``ks``; the k + 1 real and empty labels mix.
-
-    The stay probability at step t is ``argmax_stay_probability(ab[t],
-    k + 1)``, computed here to the same bits, but with the Hermite-node CDF
-    evaluated once per t for every count: it depends on alpha_bar only.
-    """
-    ab = cosine_alpha_bar(T)[1:]
-    phi = _std_normal_cdf(_HERMITE_NODES + np.sqrt(ab / (1.0 - ab))[:, None])
-    stays = []
-    for k in ks:
-        p_stay = (_HERMITE_WEIGHTS * phi ** k).sum(axis=1) / math.sqrt(2.0 * math.pi)
-        a = np.maximum(((k + 1) * p_stay - 1.0) / k, 1e-12)
-        abar = np.minimum.accumulate(np.concatenate([[1.0], a]))
-        stays.append(abar[1:] / abar[:-1])
-    return stays
-
-
-def _check_leak(leak: float) -> None:
-    if not 0.0 <= leak < math.inf:
-        raise ValueError(f"leak must be finite and non-negative, got {leak!r}")
-
-
 def build_schedule(T: int, k: int, kernel: str = KERNEL_INDEPENDENT, *,
                    leak: float = 0.01, node_gamma=None) -> MaskSchedule:
     """Construct the forward schedule for one variable kind.
@@ -279,7 +253,8 @@ def build_schedule(T: int, k: int, kernel: str = KERNEL_INDEPENDENT, *,
         raise ValueError("need at least one step")
     if k < 1:
         raise ValueError("need at least one real label")
-    _check_leak(leak)
+    if not 0.0 <= leak < math.inf:
+        raise ValueError(f"leak must be finite and non-negative, got {leak!r}")
     if kernel in MASKING_KERNELS:
         if node_gamma is None:
             gammas = np.array([1.0 / (T - t + 1) for t in range(1, T + 1)])
@@ -302,7 +277,15 @@ def build_schedule(T: int, k: int, kernel: str = KERNEL_INDEPENDENT, *,
         stays = ab[1:] / ab[:-1]
         return uniform_schedule_from_stays(k, stays, kernel=kernel)
     if kernel == KERNEL_GAUSSIAN:
-        return uniform_schedule_from_stays(k, _gaussian_stays(T, [k])[0], kernel=kernel)
+        # The k + 1 real and empty labels mix. The stay probability at step t
+        # is argmax_stay_probability(ab[t], k + 1), to the same bits, with the
+        # Hermite-node CDF evaluated for every t at once.
+        ab = cosine_alpha_bar(T)[1:]
+        phi = _std_normal_cdf(_HERMITE_NODES + np.sqrt(ab / (1.0 - ab))[:, None])
+        p_stay = (_HERMITE_WEIGHTS * phi ** k).sum(axis=1) / math.sqrt(2.0 * math.pi)
+        a = np.maximum(((k + 1) * p_stay - 1.0) / k, 1e-12)
+        abar = np.minimum.accumulate(np.concatenate([[1.0], a]))
+        return uniform_schedule_from_stays(k, abar[1:] / abar[:-1], kernel=kernel)
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
@@ -333,12 +316,6 @@ def build_graph_schedule(config: SceneConfig, T: int,
                          kernel: str = KERNEL_INDEPENDENT, *,
                          leak: float = 0.01) -> GraphSchedule:
     """Schedules for categories, codes, and relations of one scene family."""
-    if kernel == KERNEL_GAUSSIAN:
-        # The three kinds share one evaluation of the Hermite-node CDF per t.
-        _check_leak(leak)
-        ks = (config.k_c, config.k_f, config.k_e)
-        return GraphSchedule(*(uniform_schedule_from_stays(k, stays, kernel=kernel)
-                               for k, stays in zip(ks, _gaussian_stays(T, ks))))
     edge_gamma = None
     if kernel == KERNEL_JOINT:
         node_gamma = np.array([1.0 / (T - t + 1) for t in range(1, T + 1)])

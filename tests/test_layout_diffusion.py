@@ -367,14 +367,31 @@ def _shared_count_batch(toy, size):
     return [toy.graphs[pattern[i % len(pattern)]] for i in range(size)]
 
 
+def _perturbed_dataset(toy, picks):
+    """Toy pairs plus a copy of each picked layout with its objects moved, so
+    the keys of the picked graphs hold two distinct layouts."""
+    pairs = list(zip(toy.graphs, toy.layouts))
+    for i in picks:
+        moved = np.array(toy.layouts[i])
+        moved[:, :2] += 0.3
+        pairs.append((toy.graphs[i], moved))
+    return pairs
+
+
+def _is_point_mass(den, graph):
+    m = den.matching_layouts(graph)
+    return bool((m == m[0]).all())
+
+
 @pytest.mark.parametrize("frozen", [False, True])
 def test_a_chain_does_not_depend_on_the_other_graphs(toy, sched, frozen):
-    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
+    den = ExactEpsDenoiser(_perturbed_dataset(toy, range(len(toy.graphs))), sched)
     keep = {1: np.asarray(toy.layouts[4][1]) + 0.5} if frozen else None
     graphs = _shared_count_batch(toy, 11)
+    assert not any(_is_point_mass(den, g) for g in graphs)
     out = reverse_sample_layout(den, graphs, sched, np.random.default_rng(21), frozen_rows=keep)
     # Another graph with the same count, one with the other count, and the
-    # code-free and multiset fallbacks (seven and eleven candidates).
+    # code-free and multiset fallbacks (14 and 22 candidates).
     swaps = [toy.graphs[14], toy.graphs[7], *_mixed_key_batch(toy, 3)[::2]]
     for pos in (0, 3, 10):
         for g in swaps:
@@ -412,11 +429,6 @@ def _shortcut(den, graph, frozen):
     return out
 
 
-def _is_point_mass(den, graph):
-    m = den.matching_layouts(graph)
-    return bool((m == m[0]).all())
-
-
 def _noise_blocks(seed, shape, sched):
     """The start block and one block per noisy step, as a stepping call draws them."""
     rng = np.random.default_rng(seed)
@@ -441,17 +453,6 @@ def test_row_i_of_each_noise_block_drives_chain_i(toy, sched):
         want = (_shortcut(den, g, keep) if point[i]
                 else _reference_chain(den, g, sched, blocks, i, keep))
         assert np.array_equal(out[i], want)
-
-
-def _perturbed_dataset(toy, picks):
-    """Toy pairs plus a copy of each picked layout with its objects moved, so
-    the keys of the picked graphs hold two distinct layouts."""
-    pairs = list(zip(toy.graphs, toy.layouts))
-    for i in picks:
-        moved = np.array(toy.layouts[i])
-        moved[:, :2] += 0.3
-        pairs.append((toy.graphs[i], moved))
-    return pairs
 
 
 def test_one_predict_call_per_candidate_count_and_step(toy, sched):
@@ -561,9 +562,13 @@ def test_one_batch_splits_evenly_between_two_modes(sched):
 
 def test_sampler_memory_per_chain_stays_small(toy):
     sched = build_gaussian_schedule(100)
-    den = ExactEpsDenoiser(list(zip(toy.graphs, toy.layouts)), sched)
+    # One moved copy per key, so every chain steps with at most one more
+    # candidate than the toy keys hold.
+    picks = {g.key(): i for i, g in enumerate(toy.graphs)}.values()
+    den = ExactEpsDenoiser(_perturbed_dataset(toy, picks), sched)
     n = 2000
     graphs = [toy.graphs[i % len(toy.graphs)] for i in range(n)]
+    assert not any(_is_point_mass(den, g) for g in toy.graphs)
     tracemalloc.start()
     try:
         reverse_sample_layout(den, graphs, sched, np.random.default_rng(0))
