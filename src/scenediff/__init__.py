@@ -38,6 +38,7 @@ from .evaluation import (
     tv_distance,
 )
 from .graph import (
+    GraphArrays,
     SemanticGraph,
     canonical_order,
     canonicalize_scene,
@@ -92,7 +93,13 @@ from .layout_diffusion import (
 )
 from .pipeline import GenerationConfig, ScenePipeline, retrieve_object
 from .quantizer import Codebook, fit_codebook, reconstruction_error
-from .relations import RelationLabel, extract_relations, inverse_relation, relation_between
+from .relations import (
+    RelationLabel,
+    extract_relations,
+    inverse_relation,
+    relation_between,
+    relation_labels,
+)
 from .scene import ObjectInstance, Scene, layout_row_to_pose, scene_to_layout
 from .scene_io import load_bundle, load_scenes, save_bundle, save_scenes
 from .svg_render import render_svg

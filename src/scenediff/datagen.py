@@ -18,11 +18,11 @@ import numpy as np
 
 from .config import SceneConfig
 from .errors import DatasetError
-from .graph import SemanticGraph, canonicalize_scene, derive_graph_arrays
+from .graph import GraphArrays, SemanticGraph, canonicalize_scene, derive_graph_arrays
 from .instructions import Instruction, StyleConstraint
 from .quantizer import Codebook, fit_codebook
 from .relations import RelationLabel, n_pairs, pair_slots
-from .scene import LAYOUT_DIM, PAD_ROW, ObjectInstance, Scene, layout_rows, value_eq
+from .scene import LAYOUT_DIM, PAD_ROW, ObjectInstance, Scene, value_eq
 
 # Bound on the temporaries of derive_graphs_and_layouts, per chunk of scenes.
 _DERIVE_CHUNK_BYTES = 1 << 20
@@ -89,18 +89,26 @@ class AssetLibrary:
 
 @dataclass(frozen=True)
 class DatasetBundle:
-    """Everything a two-stage model needs about one scene family."""
+    """Everything a two-stage model needs about one scene family.
+
+    The dataset is held as stacked arrays: ``graph_arrays`` has scene i's
+    padded labels in row i, and ``layouts`` (n_scenes, n_max, LAYOUT_DIM)
+    its padded layout. ``graphs``, one SemanticGraph per scene, is built
+    from the arrays on first access; loading a bundle and building a
+    pipeline never ask for it.
+    """
 
     config: SceneConfig
     scenes: tuple[Scene, ...]
-    graphs: tuple[SemanticGraph, ...]
+    graph_arrays: GraphArrays
     layouts: np.ndarray  # (n_scenes, n_max, LAYOUT_DIM), padded
     codebook: Codebook
     library: AssetLibrary
     instructions: tuple[Instruction, ...]
 
     def __post_init__(self):
-        if len(self.scenes) != len(self.graphs) or len(self.scenes) != self.layouts.shape[0]:
+        if len(self.scenes) != len(self.graph_arrays) or \
+                len(self.scenes) != self.layouts.shape[0]:
             raise ValueError("scenes, graphs, and layouts must align")
         arr = np.asarray(self.layouts, dtype=np.float64).copy()
         arr.flags.writeable = False
@@ -109,6 +117,10 @@ class DatasetBundle:
     @property
     def n_scenes(self) -> int:
         return len(self.scenes)
+
+    @property
+    def graphs(self) -> tuple[SemanticGraph, ...]:
+        return self.graph_arrays.graphs
 
     def layout_pairs(self) -> list[tuple[SemanticGraph, np.ndarray]]:
         return [(g, self.layouts[i]) for i, g in enumerate(self.graphs)]
@@ -126,37 +138,35 @@ def pad_layout(layout: np.ndarray, n_max: int) -> np.ndarray:
 
 
 def derive_graphs_and_layouts(scenes, codebook: Codebook, config: SceneConfig):
-    """Padded semantic graphs and padded layouts of a scene family, as a
-    bundle stores them: ``(graphs, layouts)`` with layouts shaped
+    """Padded label arrays and padded layouts of a scene family, as a
+    bundle stores them: ``(graph_arrays, layouts)`` with layouts shaped
     (n_scenes, n_max, LAYOUT_DIM).
 
-    Scenes go in chunks whose temporaries stay within _DERIVE_CHUNK_BYTES.
-    Per chunk, derive_graph_arrays writes the padded labels at n_max slots,
-    each graph is built once from its rows, and the layout rows of the real
-    slots (those with a real category) are written over PAD_ROW. Raises
-    ValueError when there are no scenes or a scene does not fit ``config``.
+    Scenes go in chunks whose temporaries stay within _DERIVE_CHUNK_BYTES;
+    derive_graph_arrays derives each chunk at n_max slots into its rows of
+    the output arrays. No SemanticGraph is built. Raises ValueError when
+    there are no scenes or a scene does not fit ``config``.
     """
     scenes = tuple(scenes)
     if not scenes:
         raise ValueError("need at least one scene")
-    n = config.n_max
+    n, n_f, size = config.n_max, config.n_f, len(scenes)
     # Per object: its feature, room for two of the encoder's (k_f, d)
-    # distance arrays, its layout row and list entries; per scene: its
-    # padded labels.
-    per_scene = 8 * (n * (config.d * (1 + 2 * config.k_f) + LAYOUT_DIM + 32)
-                     + n * (1 + config.n_f) + n_pairs(n))
+    # distance arrays, its layout row and list entries; per pair: the
+    # relation rule's temporaries; per scene: its padded labels and layout.
+    per_scene = 8 * (n * (config.d * (1 + 2 * config.k_f) + 2 * LAYOUT_DIM + 32)
+                     + 24 * n_pairs(n) + n * (1 + n_f) + n_pairs(n))
     chunk = max(1, _DERIVE_CHUNK_BYTES // per_scene)
-    graphs = []
-    layouts = np.empty((len(scenes), n, LAYOUT_DIM), dtype=np.float64)
-    layouts[:] = PAD_ROW
-    for lo in range(0, len(scenes), chunk):
-        part = scenes[lo:lo + chunk]
-        cats, codes, rels = derive_graph_arrays(part, codebook, config, n)
-        graphs += [SemanticGraph(c, f, r, k_c=config.k_c, k_f=config.k_f, k_e=config.k_e)
-                   for c, f, r in zip(cats, codes, rels)]
-        layouts[lo:lo + chunk][cats < config.k_c] = layout_rows(
-            o for s in part for o in s.objects)
-    return tuple(graphs), layouts
+    cats = np.empty((size, n), dtype=np.int64)
+    codes = np.empty((size, n, n_f), dtype=np.int64)
+    rels = np.empty((size, n_pairs(n)), dtype=np.int64)
+    layouts = np.empty((size, n, LAYOUT_DIM), dtype=np.float64)
+    for lo in range(0, size, chunk):
+        part = slice(lo, lo + chunk)
+        cats[part], codes[part], rels[part], layouts[part] = derive_graph_arrays(
+            scenes[part], codebook, config, n)
+    return GraphArrays(cats, codes, rels, k_c=config.k_c, k_f=config.k_f,
+                       k_e=config.k_e), layouts
 
 
 # Quadrant centers for deliberate horizontal placement, in the order
@@ -286,28 +296,28 @@ def generate_dataset(config: SceneConfig, n_scenes: int, seed: int = 0) -> Datas
     codebook, recovered = _fit_style_codebook(config, centroids, features, seed)
     library = _build_library(recovered, centroids, sizes)
 
-    graphs, layouts = derive_graphs_and_layouts(raw_scenes, codebook, recovered)
+    arrays, layouts = derive_graphs_and_layouts(raw_scenes, codebook, recovered)
     return DatasetBundle(
         config=recovered,
         scenes=tuple(raw_scenes),
-        graphs=graphs,
+        graph_arrays=arrays,
         layouts=layouts,
         codebook=codebook,
         library=library,
-        instructions=tuple(_sample_instruction_pool(graphs, recovered, rng)),
+        instructions=tuple(_sample_instruction_pool(arrays, recovered, rng)),
     )
 
 
-def _sample_instruction_pool(graphs, config: SceneConfig,
+def _sample_instruction_pool(arrays: GraphArrays, config: SceneConfig,
                              rng: np.random.Generator, limit: int = 16):
     """A few single-triplet instructions the dataset demonstrably satisfies."""
     pool = []
     seen = set()
-    for g in graphs:
-        j, k = pair_slots(g.n_slots)
-        cj, ck = g.categories[j], g.categories[k]
-        keep = (cj < config.k_c) & (ck < config.k_c) & (g.relations < RelationLabel.NONE)
-        for trip in zip(cj[keep].tolist(), map(RelationLabel, g.relations[keep].tolist()),
+    j, k = pair_slots(arrays.n_slots)
+    for cats, rels in zip(arrays.categories, arrays.relations):
+        cj, ck = cats[j], cats[k]
+        keep = (cj < config.k_c) & (ck < config.k_c) & (rels < RelationLabel.NONE)
+        for trip in zip(cj[keep].tolist(), map(RelationLabel, rels[keep].tolist()),
                         ck[keep].tolist()):
             if trip not in seen:
                 seen.add(trip)
@@ -397,11 +407,11 @@ def toy_support(seed: int = 0, n_max: int = 4) -> DatasetBundle:
     codebook, recovered = _fit_style_codebook(base, centroids, features, seed)
     library = _build_library(recovered, centroids,
                              np.array([_TOY_SIZES[c] for c in TOY_CATEGORIES]))
-    graphs, layouts = derive_graphs_and_layouts(scenes, codebook, recovered)
+    arrays, layouts = derive_graphs_and_layouts(scenes, codebook, recovered)
     return DatasetBundle(
         config=recovered,
         scenes=tuple(scenes),
-        graphs=graphs,
+        graph_arrays=arrays,
         layouts=layouts,
         codebook=codebook,
         library=library,
@@ -441,9 +451,8 @@ def toy_instructions(config: SceneConfig) -> tuple[Instruction, ...]:
 def toy_variant_map(bundle: DatasetBundle) -> dict[bytes, int]:
     """Graph key to toy variant index, for classifying sampled graphs."""
     keys: dict[bytes, int] = {}
-    for i, scene in enumerate(bundle.scenes):
-        variant = int(scene.id.split("-")[1])
-        keys.setdefault(bundle.graphs[i].key(), variant)
+    for scene, row in zip(bundle.scenes, bundle.graph_arrays.label_rows()):
+        keys.setdefault(row.tobytes(), int(scene.id.split("-")[1]))
     return keys
 
 

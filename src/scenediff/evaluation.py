@@ -13,8 +13,13 @@ import json
 from dataclasses import dataclass
 
 from .config import SceneConfig
-from .graph import derive_semantic_graph
-from .instructions import Instruction, StyleConstraint, instruction_matches
+from .graph import derive_graph_arrays, derive_semantic_graph
+from .instructions import (
+    Instruction,
+    StyleConstraint,
+    instruction_match_stages,
+    instruction_matches,
+)
 from .quantizer import Codebook
 from .scene import Scene
 
@@ -28,12 +33,16 @@ def scene_satisfies(scene: Scene, instruction: Instruction, config: SceneConfig,
 
 def irecall(scenes, instruction: Instruction, config: SceneConfig,
             codebook: Codebook) -> float:
-    """Fraction of scenes whose geometry realizes the instruction."""
-    scenes = list(scenes)
+    """Fraction of scenes whose geometry realizes the instruction: their
+    graphs are re-derived together, padded to the largest scene, and
+    checked in one pass of instruction_match_stages."""
+    scenes = tuple(scenes)
     if not scenes:
         raise ValueError("need at least one scene")
-    hits = sum(scene_satisfies(s, instruction, config, codebook) for s in scenes)
-    return hits / len(scenes)
+    cats, codes, rels, _ = derive_graph_arrays(scenes, codebook, config,
+                                               max(s.n_objects for s in scenes))
+    triplets, style = instruction_match_stages(cats, codes, rels, instruction, config.k_c)
+    return int((triplets & style).sum()) / len(scenes)
 
 
 def empirical_distribution(items) -> dict:

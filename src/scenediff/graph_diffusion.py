@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import SceneConfig
 from .errors import SupportError, UnsatisfiableInstructionError
-from .graph import SemanticGraph, empty_state, mask_state
+from .graph import GraphArrays, SemanticGraph, empty_state, mask_state
 from .instructions import Instruction, instruction_match_stages
 from .layout_diffusion import cosine_alpha_bar
 from .relations import n_pairs, pair_slots
@@ -535,32 +535,30 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
     """
 
     def __init__(self, dataset, schedule: GraphSchedule):
-        graphs = list(dataset)
-        if not graphs:
+        """dataset: a GraphArrays, or padded SemanticGraphs of one shape and
+        vocabulary, which are stacked into one."""
+        arrays = dataset if isinstance(dataset, GraphArrays) else GraphArrays.from_graphs(dataset)
+        if not len(arrays):
             raise ValueError("empty graph dataset")
-        if len({(g.codes.shape, g.k_c, g.k_f, g.k_e) for g in graphs}) != 1:
-            raise ValueError("dataset graphs must share shape and vocabulary")
         self.schedule = schedule
-        self.n_slots, self.n_f = graphs[0].codes.shape
-        self.k_c, self.k_f, self.k_e = graphs[0].k_c, graphs[0].k_f, graphs[0].k_e
+        self.n_slots, self.n_f = arrays.n_slots, arrays.n_f
+        self.k_c, self.k_f, self.k_e = arrays.k_c, arrays.k_f, arrays.k_e
         if schedule.category.k != self.k_c or schedule.code.k != self.k_f \
                 or schedule.relation.k != self.k_e:
             raise ValueError("schedule vocabulary disagrees with the dataset")
-        cat = np.stack([g.categories for g in graphs])
-        code = np.stack([g.codes.reshape(-1) for g in graphs])
-        rel = np.stack([g.relations for g in graphs])
-        if ((cat == mask_state(self.k_c)).any() or (code == mask_state(self.k_f)).any()
-                or (rel == mask_state(self.k_e)).any()):
-            raise ValueError("dataset graphs must be clean")
         # Distinct graphs in order of first appearance, with their counts.
-        _, first, counts = np.unique(np.concatenate([cat, code, rel], axis=1), axis=0,
-                                     return_index=True, return_counts=True)
-        order = np.argsort(first)
-        first = first[order]
-        self.graphs = [graphs[i] for i in first.tolist()]
-        self._counts = counts[order].astype(np.float64)
+        first, _, counts = arrays.distinct
+        self._distinct = GraphArrays(
+            arrays.categories[first], arrays.codes[first], arrays.relations[first],
+            k_c=self.k_c, k_f=self.k_f, k_e=self.k_e)
+        self._ucat, self._urel = self._distinct.categories, self._distinct.relations
+        self._ucode = self._distinct.codes.reshape(first.shape[0], -1)
+        if ((self._ucat == mask_state(self.k_c)).any()
+                or (self._ucode == mask_state(self.k_f)).any()
+                or (self._urel == mask_state(self.k_e)).any()):
+            raise ValueError("dataset graphs must be clean")
+        self._counts = counts.astype(np.float64)
         self._log_prior = np.log(self._counts / self._counts.sum())
-        self._ucat, self._ucode, self._urel = cat[first], code[first], rel[first]
         scheds = (schedule.category, schedule.code, schedule.relation)
         labels = (self._ucat, self._ucode, self._urel)
         # The clean one-hots of the three kinds side by side, (U, D): the
@@ -596,7 +594,13 @@ class EmpiricalGraphDenoiser(GraphDenoiser):
 
     @property
     def n_unique(self) -> int:
-        return len(self.graphs)
+        return self._counts.shape[0]
+
+    @property
+    def graphs(self) -> tuple[SemanticGraph, ...]:
+        """The distinct dataset graphs in order of first appearance, built on
+        first access."""
+        return self._distinct.graphs
 
     def filter_vector(self, instruction: Instruction | None) -> np.ndarray | None:
         """Boolean mask of dataset graphs matching an instruction, found in

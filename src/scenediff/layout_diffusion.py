@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SemanticGraph
+from .graph import GraphArrays, SemanticGraph, distinct_rows
 from .scene import LAYOUT_DIM
 
 logger = logging.getLogger(__name__)
@@ -168,6 +168,30 @@ class EpsDenoiser:
         raise NotImplementedError
 
 
+class _KeyTable:
+    """Dataset indices grouped by key, each group in dataset order.
+
+    There is one group per distinct row of ``rows`` (computed, or given as
+    ``distinct``, a distinct_rows result). A group's key is its first row's
+    bytes, cut to the first ``lengths[i]`` labels when ``lengths`` is given.
+    """
+
+    def __init__(self, rows, lengths=None, distinct=None):
+        first, inverse, counts = distinct_rows(rows) if distinct is None else distinct
+        keys = np.ascontiguousarray(rows[first])
+        keys = keys.view(np.dtype((np.void, keys.strides[0]))).ravel().tolist()
+        if lengths is not None:
+            keys = [k[:rows.itemsize * n] for k, n in zip(keys, lengths[first].tolist())]
+        self._ids = dict(zip(keys, range(len(keys))))
+        self._order = np.argsort(inverse, kind="stable")
+        self._bounds = [0, *np.cumsum(counts).tolist()]
+
+    def get(self, key: bytes) -> np.ndarray | None:
+        """Indices of the rows with this key, or None."""
+        u = self._ids.get(key)
+        return None if u is None else self._order[self._bounds[u]:self._bounds[u + 1]]
+
+
 class ExactEpsDenoiser(EpsDenoiser):
     """Exact posterior noise predictor over a finite layout dataset.
 
@@ -179,29 +203,33 @@ class ExactEpsDenoiser(EpsDenoiser):
     converts the posterior mean to a noise estimate.
     """
 
-    def __init__(self, dataset, schedule: GaussianSchedule):
-        """dataset: iterable of (SemanticGraph, layout) pairs. Layouts are
-        raw (unstandardized) and standardized by the dataset's own
-        statistics."""
-        pairs = [(g, np.asarray(L, dtype=np.float64)) for g, L in dataset]
-        if not pairs:
+    def __init__(self, dataset, schedule: GaussianSchedule, layouts=None):
+        """dataset: (SemanticGraph, layout) pairs whose graphs share shape
+        and vocabulary, which are stacked; or a GraphArrays whose graph i
+        goes with ``layouts[i]``. Layouts are raw (unstandardized) and
+        standardized by the dataset's own statistics. The three key tables
+        are built from the stacked label rows, one key per distinct row."""
+        if not isinstance(dataset, GraphArrays):
+            pairs = [(g, np.asarray(L, dtype=np.float64)) for g, L in dataset]
+            if any(L.shape[0] != g.n_slots for g, L in pairs):
+                raise ValueError("layout must have one row per graph slot")
+            dataset = GraphArrays.from_graphs(g for g, _ in pairs)
+            layouts = np.stack([L for _, L in pairs])
+        arrays, layouts = dataset, np.asarray(layouts, dtype=np.float64)
+        if not len(arrays):
             raise ValueError("empty layout dataset")
-        if any(L.shape[0] != g.n_slots for g, L in pairs):
-            raise ValueError("layout must have one row per graph slot")
-        # Every layout's rows stacked, standardized at once, then split back.
-        rows = np.concatenate([L for _, L in pairs], axis=0)
-        self.stats = compute_layout_stats([rows])
+        if layouts.shape != (len(arrays), arrays.n_slots, LAYOUT_DIM):
+            raise ValueError(f"layout must have one row per graph slot and {LAYOUT_DIM} columns")
+        self.stats = compute_layout_stats([layouts.reshape(-1, LAYOUT_DIM)])
         self.schedule = schedule
-        self._exact: dict[bytes, list[np.ndarray]] = {}
-        self._no_codes: dict[bytes, list[np.ndarray]] = {}
-        self._multiset: dict[bytes, list[np.ndarray]] = {}
-        standardized, lo = standardize(rows, self.stats), 0
-        for g, L in pairs:
-            z = standardized[lo:lo + L.shape[0]]
-            lo += L.shape[0]
-            self._exact.setdefault(g.key(), []).append(z)
-            self._no_codes.setdefault(self._key_no_codes(g), []).append(z)
-            self._multiset.setdefault(self._key_multiset(g), []).append(z)
+        self._z = standardize(layouts, self.stats)
+        cats, k_c = arrays.categories, arrays.k_c
+        real = cats < k_c
+        self._exact = _KeyTable(arrays.label_rows(), distinct=arrays.distinct)
+        self._no_codes = _KeyTable(np.concatenate([cats, arrays.relations], axis=1))
+        # Sorted, non-real labels last as k_c: the real prefix is the multiset.
+        self._multiset = _KeyTable(np.sort(np.where(real, cats, k_c), axis=1),
+                                   lengths=real.sum(axis=1))
 
     @staticmethod
     def _key_no_codes(g: SemanticGraph) -> bytes:
@@ -213,7 +241,8 @@ class ExactEpsDenoiser(EpsDenoiser):
         return real.tobytes()
 
     def matching_layouts(self, graph: SemanticGraph) -> np.ndarray:
-        """Standardized stack (m, n, 8) of conditioning candidates."""
+        """Standardized stack (m, n, 8) of conditioning candidates, in
+        dataset order."""
         hit = self._exact.get(graph.key())
         if hit is None:
             hit = self._no_codes.get(self._key_no_codes(graph))
@@ -225,10 +254,7 @@ class ExactEpsDenoiser(EpsDenoiser):
                 logger.info("layout match fell back to the category multiset key")
         if hit is None:
             raise KeyError("no dataset layout matches the conditioning graph")
-        shapes = {h.shape for h in hit}
-        if len(shapes) != 1:
-            raise ValueError("matching layouts disagree in shape")
-        return np.stack(hit, axis=0)
+        return self._z[hit]
 
     def predict(self, L_t, t: int, graph: SemanticGraph | None,
                 modes: np.ndarray | None = None) -> np.ndarray:

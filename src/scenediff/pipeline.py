@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datagen import Asset, AssetLibrary, DatasetBundle
-from .graph import SemanticGraph, derive_semantic_graph, pad_graph
+# pad_graph stays importable here: perfbench's traced run wraps pipeline.pad_graph.
+from .graph import SemanticGraph, derive_semantic_graph, pad_graph  # noqa: F401
 from .graph_diffusion import (
     KERNEL_INDEPENDENT,
     EmpiricalGraphDenoiser,
@@ -79,9 +80,10 @@ class ScenePipeline:
         self.graph_schedule = build_graph_schedule(
             self.config, self.gen.graph_steps, self.gen.kernel, leak=self.gen.leak
         )
-        self.graph_denoiser = EmpiricalGraphDenoiser(bundle.graphs, self.graph_schedule)
+        self.graph_denoiser = EmpiricalGraphDenoiser(bundle.graph_arrays, self.graph_schedule)
         self.layout_schedule = build_gaussian_schedule(self.gen.layout_steps)
-        self.layout_denoiser = ExactEpsDenoiser(bundle.layout_pairs(), self.layout_schedule)
+        self.layout_denoiser = ExactEpsDenoiser(bundle.graph_arrays, self.layout_schedule,
+                                                bundle.layouts)
         bundle.library.encoded(bundle.codebook)  # encode every asset now, not per retrieval
 
     def _resolve(self, instruction) -> Instruction | None:
@@ -140,10 +142,8 @@ class ScenePipeline:
               rng: np.random.Generator, **freeze) -> SemanticGraph:
         """Sample a graph for an edit: the scene's padded graph, clamped as
         ``freeze`` (FrozenGraph.from_graph's keywords) asks."""
-        base = pad_graph(
-            derive_semantic_graph(scene, self.bundle.codebook, self.config),
-            self.config.n_max,
-        )
+        base = derive_semantic_graph(scene, self.bundle.codebook, self.config,
+                                     self.config.n_max)
         return reverse_sample(
             self.graph_denoiser, self.graph_schedule, rng, instruction=instruction,
             frozen=FrozenGraph.from_graph(base, **freeze),

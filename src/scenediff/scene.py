@@ -95,13 +95,8 @@ def layout_rows(objects) -> np.ndarray:
     Columns follow LAYOUT_COLUMNS; rotation is stored as the unit vector
     (cos r, sin r).
     """
-    objects = list(objects)
-    rows = np.empty((len(objects), LAYOUT_DIM), dtype=np.float64)
-    rows[:, 0:3] = [o.location for o in objects]
-    rows[:, 3:6] = [o.size for o in objects]
-    rows[:, 6] = [math.cos(o.rotation) for o in objects]
-    rows[:, 7] = [math.sin(o.rotation) for o in objects]
-    return rows
+    return np.array([(*o.location, *o.size, math.cos(o.rotation), math.sin(o.rotation))
+                     for o in objects], dtype=np.float64).reshape(-1, LAYOUT_DIM)
 
 
 def scene_to_layout(scene: Scene) -> np.ndarray:

@@ -1,16 +1,21 @@
 """Deterministic JSON serialization for scenes and dataset bundles.
 
 Bundles live in a directory of five files (config, codebook, library,
-scenes, instructions). Graphs and layouts are derived again at every load,
-from the scenes, in one batched pass (``derive_graphs_and_layouts``: one
-quantizer call per chunk of scenes, padded arrays written directly), and
-nothing of it is kept from one load to the next. That keeps the stored form
+scenes, instructions). The dataset's graphs and layouts are derived again
+at every load, from the scenes, as stacked arrays
+(``derive_graphs_and_layouts``: per chunk of scenes, one quantizer call, one
+scatter of labels and layout rows into the padded arrays and one call of
+the array relation rule), and nothing of it is kept from one load to the
+next. No SemanticGraph is built: the bundle's ``graphs`` tuple is made from
+the arrays when a caller first asks for it. That keeps the stored form
 small and guarantees the loaded bundle is self-consistent. All writers sort
 keys and end with a newline, so equal inputs produce byte-identical files;
 a path they cannot write raises OutputError. The readers raise FormatError
 on a file that is not JSON or lacks a record they need, on a bundle
-directory that lacks one of its files, and on a bundle whose scenes do not
-fit its config.
+directory that lacks one of its files, on a bundle whose scenes do not fit
+its config, and on a library with an asset outside the config (a category
+outside the vocabulary, a feature not of dimension d, a non-finite feature
+or size) or without an asset of a category the scenes use.
 """
 
 from __future__ import annotations
@@ -265,6 +270,28 @@ def save_bundle(bundle: DatasetBundle, directory: Path | str) -> None:
     )
 
 
+def _check_library(library: AssetLibrary, config: SceneConfig, arrays) -> None:
+    """FormatError unless every asset has a category inside the vocabulary
+    and a finite feature of dimension d and finite size, and every category
+    the scenes use has an asset to retrieve."""
+    for a in library:
+        if not 0 <= a.category < config.k_c:
+            problem = f"category {a.category} outside vocabulary of {config.k_c}"
+        elif a.feature.shape != (config.d,):
+            problem = f"feature of shape {a.feature.shape}, config d is {config.d}"
+        elif not (np.isfinite(a.feature).all() and all(map(math.isfinite, a.size))):
+            problem = "non-finite feature or size value"
+        else:
+            continue
+        raise FormatError(f"malformed asset {a.asset_id!r}: {problem}")
+    cats = arrays.categories
+    used = np.flatnonzero(np.bincount(cats[cats < config.k_c], minlength=config.k_c))
+    missing = sorted(set(used.tolist()) - {a.category for a in library})
+    if missing:
+        raise FormatError(f"the library has no asset of category {missing[0]}, "
+                          "which the scenes use")
+
+
 def load_bundle(directory: Path | str) -> DatasetBundle:
     directory = Path(directory)
     missing = [name for name in BUNDLE_FILES if not (directory / name).is_file()]
@@ -287,7 +314,8 @@ def load_bundle(directory: Path | str) -> DatasetBundle:
             instruction_from_dict(d)
             for d in load_json(directory / "instructions.json")["instructions"]
         )
-        graphs, layouts = derive_graphs_and_layouts(scenes, codebook, config)
+        arrays, layouts = derive_graphs_and_layouts(scenes, codebook, config)
+        _check_library(library, config, arrays)
     except SceneDiffError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -295,7 +323,7 @@ def load_bundle(directory: Path | str) -> DatasetBundle:
     return DatasetBundle(
         config=config,
         scenes=scenes,
-        graphs=graphs,
+        graph_arrays=arrays,
         layouts=layouts,
         codebook=codebook,
         library=library,

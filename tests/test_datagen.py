@@ -19,7 +19,7 @@ from scenediff.datagen import (
     toy_variant_of,
 )
 from scenediff.errors import DatasetError
-from scenediff.graph import derive_semantic_graph, pad_graph
+from scenediff.graph import GraphArrays, derive_semantic_graph, pad_graph
 from scenediff.instructions import instruction_matches
 from scenediff.relations import RelationLabel
 from scenediff.scene import layout_row_to_pose, scene_to_layout
@@ -113,7 +113,7 @@ def test_bundle_immutable_and_aligned(toy):
         DatasetBundle(
             config=toy.config,
             scenes=toy.scenes[:2],
-            graphs=toy.graphs[:3],
+            graph_arrays=GraphArrays.from_graphs(toy.graphs[:3]),
             layouts=toy.layouts[:2],
             codebook=toy.codebook,
             library=toy.library,

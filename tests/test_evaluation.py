@@ -62,6 +62,22 @@ def test_irecall_counts_geometric_hits(toy):
         irecall([], far, toy.config, toy.codebook)
 
 
+def test_irecall_equals_the_per_scene_check(toy):
+    """irecall derives every scene's graph in one array pass; scene by scene
+    the verdicts must be scene_satisfies'. The scenes mix object counts, up
+    to more than the config's n_max slots."""
+    from scenediff.scene import Scene
+
+    scenes = list(toy.scenes) + [
+        Scene(id="one", objects=toy.scenes[0].objects[:1]),
+        Scene(id="two", objects=toy.scenes[-1].objects[1:]),
+        Scene(id="six", objects=toy.scenes[0].objects + toy.scenes[-1].objects),
+    ]
+    for instruction in toy.instructions:
+        want = sum(scene_satisfies(s, instruction, toy.config, toy.codebook) for s in scenes)
+        assert irecall(scenes, instruction, toy.config, toy.codebook) == want / len(scenes)
+
+
 def test_irecall_ignores_the_sampled_graph(toy):
     # A moved chair must flip the verdict even though nothing else changed.
     from scenediff.scene import ObjectInstance, Scene

@@ -1,9 +1,11 @@
 """Serialization fidelity and command line behavior."""
 from __future__ import annotations
 
+import collections
 import copy
 import dataclasses
 import errno
+import itertools
 import json
 import math
 import os
@@ -540,6 +542,49 @@ def test_cli_bundle_whose_scene_does_not_fit_exits_4(tmp_path, toy, misfit):
     assert not out.exists()
 
 
+def _drop_category_0(assets):
+    assets[:] = [a for a in assets if a["category"] != 0]
+
+
+# Edits of a toy bundle's asset records that leave the library unfit for the
+# bundle, with the reason.
+BAD_LIBRARIES = {
+    "feature-length": (lambda assets: assets[0]["feature"].append(0.0),
+                       "malformed asset 'asset-00-00': feature of shape (17,), config d is 16"),
+    "category-high": (lambda assets: assets[0].update(category=4),
+                      "malformed asset 'asset-00-00': category 4 outside vocabulary of 4"),
+    "category-negative": (lambda assets: assets[0].update(category=-1),
+                          "malformed asset 'asset-00-00': category -1 outside vocabulary of 4"),
+    "nan-feature": (lambda assets: assets[1]["feature"].__setitem__(3, math.nan),
+                    "malformed asset 'asset-00-01': non-finite feature or size value"),
+    "infinite-size": (lambda assets: assets[2]["size"].__setitem__(2, math.inf),
+                      "malformed asset 'asset-01-00': non-finite feature or size value"),
+    "missing-category": (_drop_category_0,
+                         "the library has no asset of category 0, which the scenes use"),
+}
+
+
+def write_bad_library(toy, path, name):
+    """Save the toy bundle to ``path`` with one BAD_LIBRARIES edit."""
+    save_bundle(toy, path)
+    data = json.loads((path / "library.json").read_text())
+    BAD_LIBRARIES[name][0](data["assets"])
+    dump_json(data, path / "library.json")
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LIBRARIES))
+def test_cli_bundle_with_a_malformed_library_exits_4(tmp_path, toy, name):
+    path = tmp_path / "bundle"
+    write_bad_library(toy, path, name)
+    with pytest.raises(FormatError) as info:
+        load_bundle(path)
+    assert str(info.value) == BAD_LIBRARIES[name][1]
+    out = tmp_path / "u.json"
+    res = CliRunner().invoke(main, ["uncond", "--bundle", str(path), "--out", str(out), *FAST])
+    _assert_typed_failure(res, BAD_LIBRARIES[name][1])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("misfit", sorted(_MISFITS))
 @pytest.mark.parametrize("command", ["complete", "rearrange", "stylize"])
 def test_cli_edit_of_a_scene_that_does_not_fit_exits_4(tmp_path, bundle_dir, toy, command,
@@ -855,3 +900,103 @@ def test_cli_schedule_dump_matches_library(bundle_dir, toy):
     want = schedule_to_json(build_graph_schedule(toy.config, 10, leak=0.01))
     assert payload == want
     assert res.output == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Fault sweep: every CLI failure is typed
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def _scene_file_edits(record):
+    """Malformed scene files built from one valid scene record, by name:
+    (file text or payload)."""
+    def edited(edit):
+        data = copy.deepcopy(record)
+        edit(data)
+        return {"scenes": [data]}
+
+    def obj(field, value):
+        return edited(lambda d: d["objects"][0].__setitem__(field, value))
+
+    valid = json.dumps({"scenes": [record]})
+    return {
+        "truncated": valid[:len(valid) // 2],
+        "not-an-object": "[1, 2, 3]",
+        "scenes-a-dict": {"scenes": {}},
+        "objects-a-string": edited(lambda d: d.__setitem__("objects", "chair")),
+        "no-objects": edited(lambda d: d.__setitem__("objects", [])),
+        "category-a-string": obj("category", "chair"),
+        "location-a-string": obj("location", "here"),
+        "location-two-values": obj("location", [0.0, 0.0]),
+        "size-negative": obj("size", [-1.0, 1.0, 1.0]),
+        "missing-id": edited(lambda d: d.pop("id")),
+        "missing-feature": edited(lambda d: d["objects"][0].pop("feature")),
+        "nan-location": obj("location", [math.nan, 0.0, 0.0]),
+        "infinite-size": obj("size", [1.0, math.inf, 1.0]),
+        "huge-feature": json.dumps(edited(
+            lambda d: d["objects"][0]["feature"].__setitem__(0, "1e400"))).replace(
+                '"1e400"', "1e400"),
+        "category-out-of-vocabulary": obj("category", 99),
+        "category-negative": obj("category", -1),
+    }
+
+
+def test_cli_fault_sweep_ends_in_defined_exit_codes(tmp_path, toy):
+    """Sampling subcommands x kernels x steps on a toy and a small random
+    bundle, edge leak values, and malformed scene and library files: each
+    call exits 0, 2, 3 or 4 with no traceback, and writes strict JSON."""
+    small = generate_dataset(RANDOM_CONFIG, 7, seed=0)
+    calls = []
+    for name, bundle in (("toy", toy), ("random", small)):
+        directory = tmp_path / name
+        save_bundle(bundle, directory)
+        scenes = tmp_path / f"{name}-scenes.json"
+        save_scenes(bundle.scenes[:2], scenes)
+        text = render_instruction(bundle.instructions[0], bundle.config)
+        edit = ["--scenes", str(scenes), "--index", "1"]
+        commands = {
+            "generate": ["--instruction", text, "--n", "3"],
+            "uncond": ["--n", "3"],
+            "complete": edit,
+            "rearrange": edit,
+            "stylize": [*edit, "--style", "oak"],
+        }
+        for (command, extra), kernel, steps in itertools.product(
+                commands.items(), KERNELS, ("1", "2")):
+            calls.append([command, "--bundle", str(directory), *extra, "--kernel", kernel,
+                          "--graph-steps", steps, "--layout-steps", steps])
+        for kernel, leak in itertools.product(KERNELS, ("0", "inf", "nan", "1e308")):
+            calls.append(["uncond", "--bundle", str(directory), "--n", "2", "--kernel", kernel,
+                          "--leak", leak, "--graph-steps", "2", "--layout-steps", "2"])
+            calls.append(["schedule-dump", "--bundle", str(directory), "--steps", "2",
+                          "--kernel", kernel, "--leak", leak])
+    toy_dir = str(tmp_path / "toy")
+    for name, content in _scene_file_edits(scene_to_dict(toy.scenes[0])).items():
+        path = tmp_path / f"bad-{name}.json"
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        source = ["--bundle", toy_dir, "--scenes", str(path)]
+        for command in ("complete", "rearrange", "stylize"):
+            style = ["--style", "oak"] if command == "stylize" else []
+            calls.append([command, *source, *style, *FAST])
+        calls.append(["eval", *source, "--instruction", render_instruction(
+            toy.instructions[0], toy.config)])
+        calls.append(["render-svg", *source])
+    for name in BAD_LIBRARIES:
+        directory = tmp_path / f"library-{name}"
+        write_bad_library(toy, directory, name)
+        calls.append(["uncond", "--bundle", str(directory), *FAST])
+        calls.append(["schedule-dump", "--bundle", str(directory), "--steps", "2"])
+    codes = collections.Counter()
+    for i, args in enumerate(calls):
+        out = tmp_path / f"out-{i}.json"
+        res = CliRunner().invoke(main, [*args, "--out", str(out)])
+        assert res.exit_code in (0, 2, 3, 4), (args, res.output, res.exception)
+        assert "Traceback" not in res.output, args
+        if out.exists():
+            json.loads(out.read_text(), parse_constant=_reject_constant)
+        codes[res.exit_code] += 1
+    # The sweep reaches every defined outcome.
+    assert set(codes) == {0, 2, 3, 4}, codes

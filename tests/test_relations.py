@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relation_cases import RELATION_CASES, Box
+from scenediff import relations
 from scenediff.relations import (
     FAR_DISTANCE,
     N_LABELS,
@@ -21,6 +22,7 @@ from scenediff.relations import (
     pair_index,
     pair_slots,
     relation_between,
+    relation_labels,
 )
 
 
@@ -175,3 +177,83 @@ def test_planar_bands(dx, dy, z):
         assert RelationLabel.CLOSELY_LEFT_OF <= label <= RelationLabel.CLOSELY_BEHIND
     else:
         assert RelationLabel.LEFT_OF <= label <= RelationLabel.BEHIND
+
+
+# ---------------------------------------------------------------------------
+# The array form of the rule
+
+
+def _labels_of(subjects, objects, **thresholds):
+    """relation_labels over boxes: subject i against object i."""
+    boxes = list(subjects) + list(objects)
+    n = len(subjects)
+    return relation_labels(np.array([b.location for b in boxes]),
+                           np.array([b.size for b in boxes]),
+                           np.arange(n), np.arange(n, 2 * n), **thresholds)
+
+
+def test_relation_labels_match_the_hand_cases():
+    # 44 pairs in one call take the array path, not the scalar one.
+    assert len(RELATION_CASES) >= relations._ARRAY_PAIRS
+    got = _labels_of([s for s, *_ in RELATION_CASES], [o for _, o, *_ in RELATION_CASES])
+    assert got.tolist() == [expected for _, _, expected, _ in RELATION_CASES]
+
+
+def _edge_boxes(rng, n):
+    """Seeded (subject, object) pairs whose planar distance lies within a
+    few ulps of the near and far thresholds, or whose angle lies within a
+    few ulps of a quadrant edge. Half of the objects sit at the origin, the
+    others at random places, so the offsets are rounded differences. Both
+    boxes are 0.4 cubes at one height, so no pair is vertical."""
+    ulps = rng.integers(-4, 5, size=n) * np.finfo(float).eps
+    origins = np.where(rng.random((n, 1)) < 0.5, 0.0, rng.uniform(-3.0, 3.0, (n, 2)))
+    kind = rng.integers(3, size=n)
+    radius = np.where(kind == 0, NEAR_DISTANCE, FAR_DISTANCE) * (1.0 + ulps)
+    angle = rng.uniform(-math.pi, math.pi, n)
+    edge = rng.choice([-3.0, -1.0, 1.0, 3.0], size=n) * math.pi / 4.0
+    on_edge = kind == 2
+    radius[on_edge] = rng.uniform(0.2, 3.2, on_edge.sum())
+    angle[on_edge] = edge[on_edge] * (1.0 + ulps[on_edge])
+    offsets = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    size = (0.4, 0.4, 0.4)
+    objects = [Box((*o, 0.2), size) for o in origins.tolist()]
+    subjects = [Box((*(o + d), 0.2), size) for o, d in zip(origins, offsets)]
+    return subjects, objects
+
+
+def _plain_port(subjects, objects):
+    """The planar rule with numpy's hypot and arctan2 and nothing else."""
+    d = np.array([s.location for s in subjects]) - np.array([o.location for o in objects])
+    dist, theta = np.hypot(d[:, 0], d[:, 1]), np.arctan2(d[:, 1], d[:, 0])
+    q = math.pi / 4.0
+    base = np.select([(-q <= theta) & (theta < q), (q <= theta) & (theta < 3.0 * q),
+                      (-3.0 * q <= theta) & (theta < -q)],
+                     [RelationLabel.RIGHT_OF, RelationLabel.IN_FRONT_OF, RelationLabel.BEHIND],
+                     RelationLabel.LEFT_OF)
+    base = np.where(dist <= NEAR_DISTANCE, base + 4, base)
+    return np.where(dist > FAR_DISTANCE, RelationLabel.NONE, base)
+
+
+def test_relation_labels_are_exact_at_the_thresholds():
+    subjects, objects = _edge_boxes(np.random.default_rng(7), 30000)
+    want = [relation_between(s, o) for s, o in zip(subjects, objects)]
+    assert RelationLabel.ABOVE not in want and RelationLabel.BELOW not in want
+    assert _labels_of(subjects, objects).tolist() == want
+    # The set separates an exact form from a plain port: numpy's hypot and
+    # arctan2 round some of these pairs to the other side of a threshold.
+    assert (_plain_port(subjects, objects) != np.array(want)).any()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_relation_labels_follow_custom_thresholds_and_non_finite_input():
+    rng = np.random.default_rng(3)
+    boxes = [Box(rng.uniform(-3.0, 3.0, 3), rng.uniform(0.1, 2.0, 3)) for _ in range(400)]
+    subjects, objects = boxes[:200], boxes[200:]
+    for near, far in ((0.5, 2.0), (NEAR_DISTANCE, FAR_DISTANCE)):
+        want = [relation_between(s, o, near=near, far=far) for s, o in zip(subjects, objects)]
+        assert _labels_of(subjects, objects, near=near, far=far).tolist() == want
+    odd = [Box((math.inf, 0.0, 0.0), (1.0, 1.0, 1.0)), Box((math.nan, 1.0, 0.0), (1.0, 1.0, 1.0)),
+           Box((math.inf, math.inf, 0.0), (1.0, 1.0, 1.0)), Box((0.0, 0.0, 5.0), (1.0, 1.0, 1.0))]
+    pairs = [(a, b) for a in odd for b in odd] * 3  # enough pairs for the array path
+    want = [relation_between(a, b) for a, b in pairs]
+    assert _labels_of(*zip(*pairs)).tolist() == want
