@@ -31,18 +31,26 @@ def scene_satisfies(scene: Scene, instruction: Instruction, config: SceneConfig,
     return instruction_matches(graph, instruction)
 
 
+# Scenes per array pass of irecall; bounds its temporaries.
+_RECALL_CHUNK = 32
+
+
 def irecall(scenes, instruction: Instruction, config: SceneConfig,
             codebook: Codebook) -> float:
-    """Fraction of scenes whose geometry realizes the instruction: their
-    graphs are re-derived together, padded to the largest scene, and
+    """Fraction of scenes whose geometry realizes the instruction. Chunks of
+    scenes are re-derived together, padded to their largest scene, and
     checked in one pass of instruction_match_stages."""
     scenes = tuple(scenes)
     if not scenes:
         raise ValueError("need at least one scene")
-    cats, codes, rels, _ = derive_graph_arrays(scenes, codebook, config,
-                                               max(s.n_objects for s in scenes))
-    triplets, style = instruction_match_stages(cats, codes, rels, instruction, config.k_c)
-    return int((triplets & style).sum()) / len(scenes)
+    hits = 0
+    for lo in range(0, len(scenes), _RECALL_CHUNK):
+        part = scenes[lo:lo + _RECALL_CHUNK]
+        cats, codes, rels, _ = derive_graph_arrays(part, codebook, config,
+                                                   max(s.n_objects for s in part))
+        triplets, style = instruction_match_stages(cats, codes, rels, instruction, config.k_c)
+        hits += int((triplets & style).sum())
+    return hits / len(scenes)
 
 
 def empirical_distribution(items) -> dict:

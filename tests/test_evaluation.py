@@ -63,12 +63,13 @@ def test_irecall_counts_geometric_hits(toy):
 
 
 def test_irecall_equals_the_per_scene_check(toy):
-    """irecall derives every scene's graph in one array pass; scene by scene
-    the verdicts must be scene_satisfies'. The scenes mix object counts, up
-    to more than the config's n_max slots."""
+    """irecall derives the scenes' graphs in array passes of a chunk of
+    scenes each; scene by scene the verdicts must be scene_satisfies'. The
+    39 scenes span two chunks and mix object counts, up to more than the
+    config's n_max slots."""
     from scenediff.scene import Scene
 
-    scenes = list(toy.scenes) + [
+    scenes = list(toy.scenes) * 2 + [
         Scene(id="one", objects=toy.scenes[0].objects[:1]),
         Scene(id="two", objects=toy.scenes[-1].objects[1:]),
         Scene(id="six", objects=toy.scenes[0].objects + toy.scenes[-1].objects),
